@@ -158,12 +158,16 @@ def analyze_result(result, *, filename: str | None = None
     fname = filename if filename is not None else "<input>"
     diags = Diagnostics()
     cfgs = function_cfgs(result.lowered, result.ctx)
+    proven: dict[str, frozenset[int]] = {}
     for name in cfgs:
         cfg = cfgs[name]
         check_initialized(cfg, diags)
-        check_shapes(cfg, diags)
+        proven[name] = check_shapes(cfg, diags)
         check_rc_balance(cfg, diags)
     program = result.bytecode()
+    # The shapes fixpoint above already proved which bounds guards are
+    # in range; seed them so bytecode generation does not re-solve it.
+    program.seed_proven_guards(proven)
     parallel = tuple(analyze_parallel(program))
     return AnalysisReport(
         fname, tuple(diags.sorted()), parallel, len(cfgs),

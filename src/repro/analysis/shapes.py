@@ -730,17 +730,30 @@ def _is_float_type(type_node) -> bool:
     return False
 
 
-def check_shapes(cfg: CFG, diags: Diagnostics) -> None:
-    """Run the pass on one function CFG, emitting into ``diags``."""
+def _solve_and_replay(cfg: CFG, diags: Diagnostics | None) -> frozenset[int]:
+    """Solve the interval fixpoint once, then replay every reachable
+    block against its in-state: the replay reports must-fail guards into
+    ``diags`` (when given) and collects the must-pass bounds guards."""
     silent = _Pass(cfg, None)
     states = solve(
         cfg, silent.block, join=join_states, entry_state={}, init={},
         direction="forward", widen=widen_states, widen_after=3,
         edge=silent.refine_edge,
     )
-    reporter = _Pass(cfg, diags)
+    replay = _Pass(cfg, diags)
     for bid in sorted(cfg.reachable()):
-        reporter.block(cfg.blocks[bid], states[bid][0])
+        replay.block(cfg.blocks[bid], states[bid][0])
+    return frozenset(replay.proven)
+
+
+def check_shapes(cfg: CFG, diags: Diagnostics) -> frozenset[int]:
+    """Run the pass on one function CFG, emitting into ``diags``.
+
+    Returns the same proven-in-range guard set as
+    :func:`proven_in_range`, so a caller that also compiles the function
+    (``analyze_result``) can seed the bytecode compiler with it instead
+    of solving the fixpoint a second time."""
+    return _solve_and_replay(cfg, diags)
 
 
 def proven_in_range(cfg: CFG) -> frozenset[int]:
@@ -752,13 +765,4 @@ def proven_in_range(cfg: CFG) -> frozenset[int]:
     so discharging such a guard can never suppress a real trap.  The
     bytecode compiler uses this to compile the guard to the
     ``rt_bounds_ok`` counter bump instead."""
-    silent = _Pass(cfg, None)
-    states = solve(
-        cfg, silent.block, join=join_states, entry_state={}, init={},
-        direction="forward", widen=widen_states, widen_after=3,
-        edge=silent.refine_edge,
-    )
-    prover = _Pass(cfg, None)
-    for bid in sorted(cfg.reachable()):
-        prover.block(cfg.blocks[bid], states[bid][0])
-    return frozenset(prover.proven)
+    return _solve_and_replay(cfg, None)

@@ -29,6 +29,7 @@ Frame layout: slot 0 is the return value, parameters occupy slots
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -539,17 +540,22 @@ def _intrinsic_methods() -> dict[str, str]:
 _INTRINSIC_METHODS = _intrinsic_methods()
 
 
-def _discharged_guards(name: str, params: list[str],
-                       body: Node) -> frozenset:
+def _discharged_guards(name: str, params: list[str], body: Node,
+                       proven: frozenset | None = None) -> frozenset:
     """Ids of ``rt_bounds_check`` call nodes in ``body`` whose guard the
     S25 interval fixpoint proves passes on every path (lo >= 0 and
     hi <= dim for all concretizations) — typically the genarray guards
     over a result the same function just allocated with the generator's
-    own shape.  Best-effort: any analysis failure keeps every guard."""
+    own shape.  ``proven`` is a set already computed by
+    :func:`repro.analysis.shapes.check_shapes`; without one the fixpoint
+    is solved here.  Best-effort: any analysis failure keeps every
+    guard."""
     import os
 
     if os.environ.get("REPRO_NO_GUARD_ELIDE", "") not in ("", "0"):
         return frozenset()
+    if proven is not None:
+        return proven
     try:
         from repro.analysis.cfg import build_cfg
         from repro.analysis.shapes import proven_in_range
@@ -559,9 +565,10 @@ def _discharged_guards(name: str, params: list[str],
         return frozenset()
 
 
-def compile_function(name: str, params: list[str], body: Node) -> Code:
-    proven = _discharged_guards(name, params, body)
-    return _FnCompiler(name, params, proven).finish(body)
+def compile_function(name: str, params: list[str], body: Node, *,
+                     proven: frozenset | None = None) -> Code:
+    guards = _discharged_guards(name, params, body, proven)
+    return _FnCompiler(name, params, guards).finish(body)
 
 
 class BytecodeProgram:
@@ -570,7 +577,9 @@ class BytecodeProgram:
     Compilation is per-function and lazy (mirroring the tree-walker,
     which only ever faults on constructs it actually executes); compiled
     :class:`Code` is cached, so a program compiled once may be executed
-    by many VMs.
+    by many VMs.  The caches fill under one per-program lock, so threads
+    sharing a program get exactly one :class:`Code` per function and
+    ``opt_counts`` counts each compilation once; hits take no lock.
     """
 
     def __init__(self, lowered_root: Node, ctx):
@@ -593,6 +602,11 @@ class BytecodeProgram:
         self._spec_code: dict[str, Code] = {}
         self._spec_lifted_code: dict[str, Code] = {}
         self._safety = None
+        # Re-entrant: building ``safety`` compiles code through code_for.
+        self._lock = threading.RLock()
+        # Function name -> proven-in-range guard ids seeded by the S25
+        # shapes pass (see seed_proven_guards).
+        self._proven: dict[str, frozenset] = {}
         # Mid-level IR pipeline (S28): lowered trees are compiled to TAC
         # bytecode as before, then rewritten through SSA passes at the
         # context's opt level.  ``opt_counts`` accumulates per-pass
@@ -615,22 +629,41 @@ class BytecodeProgram:
             self.opt_counts[k] = self.opt_counts.get(k, 0) + v
         return out
 
+    def seed_proven_guards(self, proven: dict[str, frozenset]) -> None:
+        """Record per-function proven-in-range guard sets (keyed like
+        :func:`repro.analysis.cfg.function_cfgs`) for functions compiled
+        from now on, so their bounds-guard elision reuses the fixpoint
+        ``reproc check`` already solved."""
+        with self._lock:
+            self._proven.update(proven)
+
+    def _memo(self, table: dict[str, Code], name: str, build) -> Code:
+        """Fill ``table[name]`` exactly once across threads."""
+        with self._lock:
+            code = table.get(name)
+            if code is None:
+                code = table[name] = build(name)
+        return code
+
+    def _compile(self, trees: dict, name: str) -> Code:
+        params, body = trees[name]
+        return self._optimize(compile_function(
+            name, params, body, proven=self._proven.get(name)))
+
     def code_for(self, name: str) -> Code:
         code = self._code.get(name)
         if code is None:
             if name not in self.functions:
                 raise InterpError(f"call to unknown function {name!r}")
-            params, body = self.functions[name]
-            code = self._optimize(compile_function(name, params, body))
-            self._code[name] = code
+            code = self._memo(self._code, name,
+                              lambda n: self._compile(self.functions, n))
         return code
 
     def lifted_code_for(self, name: str) -> Code:
         code = self._lifted_code.get(name)
         if code is None:
-            params, body = self.lifted_trees[name]
-            code = self._optimize(compile_function(name, params, body))
-            self._lifted_code[name] = code
+            code = self._memo(self._lifted_code, name,
+                              lambda n: self._compile(self.lifted_trees, n))
         return code
 
     # -- dispatch specialization (S29) ---------------------------------------
@@ -653,15 +686,16 @@ class BytecodeProgram:
     def spec_code_for(self, name: str) -> Code:
         code = self._spec_code.get(name)
         if code is None:
-            code = self._specialize(self.code_for(name))
-            self._spec_code[name] = code
+            code = self._memo(self._spec_code, name,
+                              lambda n: self._specialize(self.code_for(n)))
         return code
 
     def spec_lifted_code_for(self, name: str) -> Code:
         code = self._spec_lifted_code.get(name)
         if code is None:
-            code = self._specialize(self.lifted_code_for(name))
-            self._spec_lifted_code[name] = code
+            code = self._memo(
+                self._spec_lifted_code, name,
+                lambda n: self._specialize(self.lifted_code_for(n)))
         return code
 
     # -- parallel eligibility (S23, shared analysis since S25) ---------------
@@ -675,7 +709,9 @@ class BytecodeProgram:
         if self._safety is None:
             from repro.analysis.parsafety import ParallelSafety
 
-            self._safety = ParallelSafety(self)
+            with self._lock:
+                if self._safety is None:
+                    self._safety = ParallelSafety(self)
         return self._safety
 
     def lifted_parallel_safe(self, name: str) -> bool:

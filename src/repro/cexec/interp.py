@@ -20,7 +20,7 @@ truncates toward zero, `%` follows C, matrices hold float32, and `&&`/
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -78,7 +78,9 @@ class InterpStats:
     # recorded when the region first runs; absent entirely under
     # REPRO_NO_RACE_CHECK.  NOT part of the engine-differential
     # contract (the tree walker does not consult the race analysis).
-    certs: dict[str, str] = field(default_factory=dict)
+    # Merged first-wins: every shard records the same verdict.
+    certs: dict[str, str] = field(default_factory=dict,
+                                  metadata={"merge": "first"})
     # Dynamic VM instructions retired (only populated when the VM runs
     # in counting mode, e.g. under the E-IR benchmark); NOT part of the
     # engine-differential contract — O0 and O2 legitimately differ here.
@@ -87,7 +89,8 @@ class InterpStats:
     # (fold/copyprop/cse/licm/strength/dce/functions/bailouts), attached
     # once after the run from the compiled program — compile-time facts,
     # so merge() deliberately leaves them alone.
-    opt_counts: dict[str, int] = field(default_factory=dict)
+    opt_counts: dict[str, int] = field(default_factory=dict,
+                                       metadata={"merge": "skip"})
     # S29 dispatch-specialization counters.  NOT part of the
     # engine-differential contract: the tree walker never quickens, and
     # concurrent shards may race benignly on the rare-path increments.
@@ -112,29 +115,26 @@ class InterpStats:
         """Fold another stats record into this one (left-to-right).
 
         Used by the S23 fork-join pool to combine per-worker/per-task
-        counters into the parent: counts add, ``region_sizes`` appends in
-        shard order — so a pooled run's merged stats are identical to the
-        sequential run's."""
-        self.allocs += other.allocs
-        self.frees += other.frees
-        self.copies += other.copies
-        self.parallel_regions += other.parallel_regions
-        self.tasks_spawned += other.tasks_spawned
-        self.tasks_pooled += other.tasks_pooled
-        self.instrs += other.instrs
-        self.quickened += other.quickened
-        self.deopts += other.deopts
-        self.ic_hits += other.ic_hits
-        self.ic_misses += other.ic_misses
-        self.guards_elided += other.guards_elided
-        self.region_sizes.extend(other.region_sizes)
-        for reason, n in other.fastloop_bails.items():
-            self.fastloop_bails[reason] = \
-                self.fastloop_bails.get(reason, 0) + n
-        for reason, n in other.shard_bails.items():
-            self.shard_bails[reason] = self.shard_bails.get(reason, 0) + n
-        for region, verdict in other.certs.items():
-            self.certs.setdefault(region, verdict)
+        counters into the parent: counts add, lists (``region_sizes``)
+        extend in shard order, count dicts add per key — so a pooled run's
+        merged stats are identical to the sequential run's.  A field's
+        ``merge`` metadata overrides this: ``"first"`` keeps the first
+        value per key, ``"skip"`` leaves the field alone."""
+        for f in fields(self):
+            how = f.metadata.get("merge")
+            if how == "skip":
+                continue
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(mine, list):
+                mine.extend(theirs)
+            elif isinstance(mine, dict):
+                for k, v in theirs.items():
+                    if how == "first":
+                        mine.setdefault(k, v)
+                    else:
+                        mine[k] = mine.get(k, 0) + v
+            else:
+                setattr(self, f.name, mine + theirs)
         return self
 
 

@@ -396,6 +396,7 @@ class VM(RTRuntime):
         runs inline), sequential shard math."""
         self._tl = threading.local()
         self._rc_lock = threading.Lock()
+        self.program._lock = threading.RLock()
         self._task_stats = InterpStats()
         self._pool = None
         self._ppool = None

@@ -10,6 +10,7 @@ domain-specific errors, and emits plain parallel C.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +46,10 @@ class CompileError(Exception):
         super().__init__("\n".join(errors))
 
 
+#: Serializes the (cheap) lazy construction in CompileResult.bytecode.
+_BYTECODE_LOCK = threading.Lock()
+
+
 @dataclass
 class CompileResult:
     source: str
@@ -68,7 +73,9 @@ class CompileResult:
         if self._bytecode is None:
             from repro.cexec.bytecode import BytecodeProgram
 
-            self._bytecode = BytecodeProgram(self.lowered, self.ctx)
+            with _BYTECODE_LOCK:  # a service may share one result
+                if self._bytecode is None:
+                    self._bytecode = BytecodeProgram(self.lowered, self.ctx)
         return self._bytecode
 
     def make_engine(self, *, engine: str = "vm", workdir: str = ".",

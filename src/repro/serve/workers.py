@@ -66,9 +66,11 @@ def _reinit_inherited_state() -> None:
     """
     try:
         import repro.api as api_mod
+        import repro.driver as driver_mod
         import repro.service.cache as cache_mod
 
         api_mod._registry_lock = threading.Lock()
+        driver_mod._BYTECODE_LOCK = threading.Lock()
         cache_mod._shared_lock = threading.Lock()
         cache_mod._shared = None
     except Exception:

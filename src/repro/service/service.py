@@ -8,6 +8,12 @@ individual :class:`CompileRequest` objects through the staged pipeline
 never raise for per-program problems — syntax and semantic errors are
 reported in :attr:`CompileResponse.errors` so one bad program cannot
 poison a batch.
+
+A compile unit is built once while anyone still holds its result: a
+``compile`` of a source some caller's live :class:`CompileResult` was
+built from (same translator, source and filename) returns that very
+result, so ``check`` followed by ``compile`` parses, lowers, emits and
+generates bytecode once.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -119,6 +126,13 @@ class CompileService:
         self._analysis_cache: "OrderedDict[tuple, AnalysisReport]" = \
             OrderedDict()
         self._analysis_cache_size = analysis_cache_size
+        # Live results: (translator, source digest, filename) -> the
+        # CompileResult a caller still holds.  Weak values, so the table
+        # keeps nothing alive; only full, successful, non-check_only
+        # compiles enter it.
+        self._results_lock = threading.Lock()
+        self._results: "weakref.WeakValueDictionary[tuple, CompileResult]" \
+            = weakref.WeakValueDictionary()
 
     # -- single requests ------------------------------------------------------
 
@@ -140,6 +154,10 @@ class CompileService:
         A :class:`CancelToken` on the request is honoured at every stage
         boundary (never mid-stage): a cancelled request comes back as an
         error response carrying :data:`CANCELLED`.
+
+        A full compile of a unit whose result a caller still holds is
+        served from that live result (counted in ``results_shared``,
+        zero stage timings) instead of being rebuilt.
         """
         self._counters.add(requests=1)
         cancel = request.cancel
@@ -150,6 +168,17 @@ class CompileService:
         except ValueError as e:  # unknown extension
             self._counters.add(failures=1)
             return CompileResponse(request, errors=[str(e)])
+
+        key = (translator,
+               hashlib.sha256(request.source.encode()).hexdigest(),
+               request.filename)
+        if not request.check_only:
+            with self._results_lock:
+                shared = self._results.get(key)
+            if shared is not None:
+                self._counters.add(results_shared=1)
+                return CompileResponse(
+                    request, c_source=shared.c_source, result=shared)
 
         t0 = time.perf_counter()
         try:
@@ -199,6 +228,8 @@ class CompileService:
             emit_s=timings.emit,
         )
         result = CompileResult(request.source, root, errors, lowered, c_source, ctx)
+        with self._results_lock:
+            self._results[key] = result
         return CompileResponse(
             request, errors=errors, c_source=c_source, result=result, timings=timings
         )

@@ -26,6 +26,7 @@ class ServiceStats:
     requests: int = 0
     failures: int = 0               # requests returning errors
     batches: int = 0
+    results_shared: int = 0         # compiles served from a live result
     # Static analysis (S25 `reproc check`).
     analyses: int = 0               # reports computed
     analysis_cache_hits: int = 0    # reports served from the LRU
@@ -60,6 +61,8 @@ class ServiceStats:
                 f"{self.artifact_misses} rebuilds",
                 f"requests         : {self.requests} "
                 f"({self.failures} failed, {self.batches} batches)",
+                f"shared results   : {self.results_shared} compiles reused "
+                "a live result",
                 f"analysis reports : {self.analyses} computed, "
                 f"{self.analysis_cache_hits} cache hits",
                 f"stage time (s)   : parse {self.parse_s:.3f}, "

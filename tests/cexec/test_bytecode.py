@@ -676,3 +676,52 @@ class TestWidenedFastLoop:
         reasons = vm_bail_reasons(root, ctx, "f",
                                   [imat([1, 2, 3, 4, 5, 6]), 100])
         assert "non-float accumulator" in reasons
+
+
+class TestSharedProgram:
+    """One BytecodeProgram compiled from many threads at once (a compile
+    service may hand the same live result to concurrent callers)."""
+
+    def test_concurrent_memo_fills_once(self):
+        import sys
+        import threading
+
+        from repro.programs import load
+
+        cr = compile_source(load("fig1"), ["matrix"])
+        assert cr.ok
+
+        def compile_all(prog):
+            got = {("fn", n): prog.spec_code_for(n) for n in prog.functions}
+            got.update({("lifted", n): prog.lifted_code_for(n)
+                        for n in prog.lifted_trees})
+            return got
+
+        solo = BytecodeProgram(cr.lowered, cr.ctx)
+        compile_all(solo)
+        assert solo.lifted_trees, "fig1 should lift pool workers"
+
+        shared = BytecodeProgram(cr.lowered, cr.ctx)
+        barrier = threading.Barrier(8, timeout=30)
+        seen = []
+
+        def worker():
+            barrier.wait()
+            seen.append(compile_all(shared))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside the fills
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 8
+        for got in seen[1:]:
+            assert got.keys() == seen[0].keys()
+            assert all(got[k] is seen[0][k] for k in got)
+        assert shared.opt_counts == solo.opt_counts
