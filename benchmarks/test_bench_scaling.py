@@ -16,8 +16,8 @@ genuinely overlap on a multi-core host.  Gates:
   overhead is asserted and the honest timings are recorded with the
   core count;
 * enhanced vs naive fork-join is compared for real by running the same
-  region-heavy program under ``fork_mode="naive"`` (fresh threads per
-  construct, the model the paper rejects).
+  region-heavy program with :class:`NaiveForkJoin` swapped in for the
+  VM's pool (fresh threads per construct, the model the paper rejects).
 
 Native gcc runs keep their original role: thread-creation overhead is
 real regardless of core count, and RT_THREADS runs check correctness.
@@ -42,6 +42,8 @@ from repro.cexec.rmat import read_rmat, write_rmat
 from repro.cexec.vm import VM
 from repro.codegen.scaling import ForkJoinCosts, calibrated_costs
 from repro.programs import load
+
+from benchmarks.naive_fork_join import use_naive_pool
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 # Few outer rows, huge time dimension: the per-(i,j) fold is one numpy
@@ -84,8 +86,8 @@ def fig1(tmp_path_factory):
     return cr, wd, cube
 
 
-def _timed_run(cr, wd, nthreads, fork_mode="enhanced", repeats=REPEATS,
-               backend=None, out_name="means.data"):
+def _timed_run(cr, wd, nthreads, repeats=REPEATS, backend=None,
+               out_name="means.data"):
     """Best-of wall-clock for a full program run at the given pool size.
 
     With ``backend="process"`` the lazy pool fork happens inside the
@@ -97,8 +99,7 @@ def _timed_run(cr, wd, nthreads, fork_mode="enhanced", repeats=REPEATS,
     proc_regions = 0
     for _ in range(repeats):
         vm = VM(cr.lowered, cr.ctx, workdir=wd, nthreads=nthreads,
-                program=cr.bytecode(), fork_mode=fork_mode,
-                parallel_backend=backend)
+                program=cr.bytecode(), parallel_backend=backend)
         t0 = time.perf_counter()
         rc = vm.run_main()
         best = min(best, time.perf_counter() - t0)
@@ -112,7 +113,7 @@ def _timed_run(cr, wd, nthreads, fork_mode="enhanced", repeats=REPEATS,
 class TestMeasuredVMScaling:
     """E-PAR: measured wall-clock speedup of the S23 pool on fig1."""
 
-    def test_measured_scaling_curve(self, fig1):
+    def test_measured_scaling_curve(self, fig1, monkeypatch):
         cr, wd, cube = fig1
         times = {}
         reference = None
@@ -127,7 +128,9 @@ class TestMeasuredVMScaling:
                 assert np.array_equal(reference, out), \
                     f"nthreads={n} changed the result"
             times[n] = secs
-        naive_secs, _, _, naive_out = _timed_run(cr, wd, 4, fork_mode="naive")
+        with monkeypatch.context() as m:
+            use_naive_pool(m)
+            naive_secs, _, _, naive_out = _timed_run(cr, wd, 4)
         assert np.array_equal(reference, naive_out)
 
         cpus = os.cpu_count() or 1
@@ -256,7 +259,8 @@ class TestMeasuredVMScaling:
             assert t[4] <= 4.0 * t[1], \
                 f"process pool overhead {t[4]/t[1]:.2f}x on {cpus} core(s)"
 
-    def test_enhanced_pool_beats_naive_on_small_regions(self, tmp_path):
+    def test_enhanced_pool_beats_naive_on_small_regions(self, tmp_path,
+                                                        monkeypatch):
         """The paper's argument for the pool, measured in-process: many
         tiny parallel constructs are where per-region thread creation
         hurts.  200 regions x fresh threads vs one persistent pool."""
@@ -275,11 +279,11 @@ class TestMeasuredVMScaling:
         assert cr.ok, cr.errors
         cr.bytecode()
 
-        def best_of(fork_mode):
+        def best_of():
             best = float("inf")
             for _ in range(3):
                 vm = VM(cr.lowered, cr.ctx, workdir=tmp_path, nthreads=2,
-                        program=cr.bytecode(), fork_mode=fork_mode)
+                        program=cr.bytecode())
                 t0 = time.perf_counter()
                 assert vm.run_main() == 0
                 best = min(best, time.perf_counter() - t0)
@@ -287,8 +291,10 @@ class TestMeasuredVMScaling:
                 vm.close()
             return best
 
-        enhanced = best_of("enhanced")
-        naive = best_of("naive")
+        enhanced = best_of()
+        with monkeypatch.context() as m:
+            use_naive_pool(m)
+            naive = best_of()
         per_region_us = (naive - enhanced) / reps * 1e6
         _merge_bench({
             "pool_vs_naive": {

@@ -45,13 +45,13 @@ nothing and every eligibility decision is bit-for-bit what S29 made.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from repro.analysis.access import READ, WRITE, Access, Summaries, subst_poly
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.hazards import H_TRAP, TASK_BLOCKERS
 from repro.ir.affine import Poly
+from repro.util import env_flag
 
 #: Trap evidence compatible with clearance: traps made impossible by
 #: the in-bounds proof (element accesses and their fused-loop
@@ -65,7 +65,7 @@ _BENIGN_TRAPS = frozenset({
 
 
 def race_check_disabled() -> bool:
-    return os.environ.get("REPRO_NO_RACE_CHECK", "") not in ("", "0")
+    return env_flag("REPRO_NO_RACE_CHECK")
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,8 @@ class Code:
     nregs: int = 0
     instrs: list[tuple] = field(default_factory=list)
 
-    def dis(self, quicken=()) -> str:
-        """Human-readable disassembly (tests, debugging).  ``quicken``
-        names opcodes the VM will rewrite in place at run time; matching
-        sites are marked with a trailing ``~q``."""
+    def dis(self) -> str:
+        """Human-readable disassembly (tests, debugging)."""
         lines = [f"{self.name}({', '.join(self.params)})  nregs={self.nregs}"]
         for i, ins in enumerate(self.instrs):
             op, *args = ins
@@ -103,9 +101,8 @@ class Code:
                     shown.append(f"[{text}]*" if dd else f"[{text}]")
                 lines.append(f"  {i:4d}  {'si':10s} {' '.join(shown)}")
                 continue
-            mark = "  ~q" if op in quicken else ""
             lines.append(
-                f"  {i:4d}  {op:10s} {', '.join(map(repr, args))}{mark}")
+                f"  {i:4d}  {op:10s} {', '.join(map(repr, args))}")
         return "\n".join(lines)
 
 
@@ -550,9 +547,9 @@ def _discharged_guards(name: str, params: list[str], body: Node,
     :func:`repro.analysis.shapes.check_shapes`; without one the fixpoint
     is solved here.  Best-effort: any analysis failure keeps every
     guard."""
-    import os
+    from repro.util import env_flag
 
-    if os.environ.get("REPRO_NO_GUARD_ELIDE", "") not in ("", "0"):
+    if env_flag("REPRO_NO_GUARD_ELIDE"):
         return frozenset()
     if proven is not None:
         return proven

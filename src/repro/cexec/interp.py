@@ -91,16 +91,15 @@ class InterpStats:
     # so merge() deliberately leaves them alone.
     opt_counts: dict[str, int] = field(default_factory=dict,
                                        metadata={"merge": "skip"})
-    # S29 dispatch-specialization counters.  NOT part of the
-    # engine-differential contract: the tree walker never quickens, and
-    # concurrent shards may race benignly on the rare-path increments.
-    # ``ic_hits`` is only populated in counting mode (the per-execution
-    # increment would tax the lean dispatch path); ``ic_misses``,
-    # ``quickened`` and ``deopts`` are always exact on sequential runs.
+    # Always 0: the VM has no quickening, deopts or inline caches (the
+    # E-ABL ablation in EXPERIMENTS.md found no win).  Kept because the
+    # e2e benchmark's per-layer counters read them.
     quickened: int = 0
     deopts: int = 0
-    ic_hits: int = 0
     ic_misses: int = 0
+    # Bounds guards the S25 interval proof let the compiler drop.  NOT
+    # part of the engine-differential contract (the tree walker keeps
+    # every guard).
     guards_elided: int = 0
 
     @property
@@ -658,33 +657,26 @@ ENGINES = ("vm", "tree")
 
 
 def make_engine(lowered, ctx, *, engine: str = "vm",
-                workdir: str | Path = ".", nthreads: int = 1,
-                fork_mode: str = "enhanced", program=None,
-                parallel_backend: str | None = None,
-                profile: bool = False) -> RTRuntime:
+                workdir: str | Path = ".", nthreads: int = 1, program=None,
+                parallel_backend: str | None = None) -> RTRuntime:
     """An executor for a lowered tree: the bytecode VM (default) or the
     tree-walking reference interpreter.  Both expose ``run_main``,
     ``call_function``, ``stats`` and ``stdout``.
 
-    ``nthreads > 1`` gives the VM an S23 fork-join worker pool
-    (``fork_mode`` picks the enhanced persistent pool or the naive
-    spawn-per-construct model); ``parallel_backend`` selects where
-    shards execute — ``"thread"`` (S23 pool), ``"process"`` (S27
-    shared-memory process pool with thread fallback for ineligible
-    regions) or ``"auto"`` (process when eligible, else thread); ``None``
-    defers to ``REPRO_PARALLEL_BACKEND``, defaulting to threads.  The
-    tree-walker is always sequential and ignores all three.  ``program``
-    may supply a prebuilt :class:`~repro.cexec.bytecode.BytecodeProgram`
-    to the VM."""
+    ``nthreads > 1`` gives the VM an S23 fork-join worker pool;
+    ``parallel_backend`` selects where shards execute — ``"thread"``
+    (S23 pool), ``"process"`` (S27 shared-memory process pool with
+    thread fallback for ineligible regions) or ``"auto"`` (process when
+    eligible, else thread); ``None`` defers to
+    ``REPRO_PARALLEL_BACKEND``, defaulting to threads.  The tree-walker
+    is always sequential and ignores both.  ``program`` may supply a
+    prebuilt :class:`~repro.cexec.bytecode.BytecodeProgram` to the VM."""
     if engine in ("vm", "bytecode"):
         from repro.cexec.vm import VM
 
         return VM(lowered, ctx, workdir=workdir, nthreads=nthreads,
-                  fork_mode=fork_mode, program=program,
-                  parallel_backend=parallel_backend, profile=profile)
+                  program=program, parallel_backend=parallel_backend)
     if engine in ("tree", "interp"):
-        if profile:
-            raise ValueError("--profile requires the vm engine")
         return Interpreter(lowered, ctx, workdir=workdir, nthreads=nthreads)
     raise ValueError(f"unknown engine {engine!r}; have {ENGINES}")
 
@@ -699,9 +691,7 @@ def run_program(
     nthreads: int | None = None,
     options=None,
     engine: str = "vm",
-    fork_mode: str = "enhanced",
     parallel_backend: str | None = None,
-    profile: bool = False,
 ) -> tuple[int, dict[str, np.ndarray], InterpStats, "RTRuntime"]:
     """Translate and execute an extended-C program with RMAT inputs.
 
@@ -729,8 +719,8 @@ def run_program(
     for name, arr in (inputs or {}).items():
         write_rmat(wd / name, arr)
     executor = make_engine(cr.lowered, cr.ctx, engine=engine,
-                           workdir=wd, nthreads=nthreads, fork_mode=fork_mode,
-                           parallel_backend=parallel_backend, profile=profile)
+                           workdir=wd, nthreads=nthreads,
+                           parallel_backend=parallel_backend)
     try:
         rc = executor.run_main()
     finally:

@@ -35,10 +35,10 @@ the GIL inside its C loops — so sharding the *outer* iteration space
 across this pool runs the vectorized inner work on all cores while only
 the thin dispatch layer serializes.
 
-:class:`NaiveForkJoin` implements the model the paper's §III-C argues
-against — creating and joining threads for every construct — behind the
-same interface, so the enhanced-vs-naive overhead comparison (E-S5) can
-be *measured* on real VM executions rather than only modeled.
+The model the paper's §III-C argues against — creating and joining
+threads for every construct — lives in the benchmarks as a drop-in
+stand-in for :class:`WorkerPool`, so the enhanced-vs-naive overhead
+comparison (E-S5) is *measured* on real VM executions.
 """
 
 from __future__ import annotations
@@ -314,73 +314,12 @@ class WorkerPool:
         return self._region_active
 
 
-class NaiveForkJoin:
-    """Spawn-per-construct fork-join — the model §III-C improves upon.
-
-    Same interface as :class:`WorkerPool`, but every region creates and
-    joins fresh threads, paying "the price of creating and destroying
-    threads each time"; tasks always elide.  Exists so E-S5 can measure
-    the enhanced pool's advantage on real executions."""
-
-    def __init__(self, nthreads: int, **_ignored):
-        self.nthreads = max(1, int(nthreads))
-        self._owner_ident = threading.get_ident()
-        self._region_active = False
-        self.regions_dispatched = 0
-        self.tasks_pooled = 0
-
-    def run_region(self, shards: list[Callable[[], None]]) -> bool:
-        if (threading.get_ident() != self._owner_ident
-                or self._region_active):
-            return False
-        self._region_active = True
-        try:
-            self.regions_dispatched += 1
-            threads = [threading.Thread(target=s) for s in shards[1:]]
-            for t in threads:
-                t.start()
-            if shards:
-                shards[0]()
-            for t in threads:  # join is the (expensive) stop barrier
-                t.join()
-        finally:
-            self._region_active = False
-        return True
-
-    def submit(self, fn: Callable[[], None]) -> Task | None:
-        return None  # tasks always run via sequential elision
-
-    def wait_task(self, task: Task) -> None:  # pragma: no cover - no tasks
-        task.wait()
-
-    def drain(self) -> None:
-        pass
-
-    def shutdown(self) -> None:
-        pass
-
-    @property
-    def alive(self) -> bool:
-        return True
-
-    @property
-    def region_active(self) -> bool:
-        return self._region_active
-
-
-FORK_MODES = ("enhanced", "naive")
-
-
-def make_pool(nthreads: int, fork_mode: str = "enhanced"):
-    """A fork-join backend for ``nthreads`` threads, or ``None`` when
-    one thread needs no pool at all."""
+def make_pool(nthreads: int):
+    """A fork-join pool for ``nthreads`` threads, or ``None`` when one
+    thread needs no pool at all."""
     if nthreads <= 1:
         return None
-    if fork_mode == "enhanced":
-        return WorkerPool(nthreads)
-    if fork_mode == "naive":
-        return NaiveForkJoin(nthreads)
-    raise ValueError(f"unknown fork mode {fork_mode!r}; have {FORK_MODES}")
+    return WorkerPool(nthreads)
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Profile-guided superinstructions for the bytecode VM (S29).
+"""Superinstructions for the bytecode VM (S29).
 
 The S28 optimizer shrinks the dynamic instruction *stream*; this module
-shrinks the number of *dispatches* the stream costs.  A corpus profile
-(``reproc --profile``, opcode-pair/triple histograms over the shipped
-fig1/4/8/9 + mandelbrot programs) selects hot adjacent opcode shapes;
-:func:`fuse` then rewrites each compiled :class:`Code` as a peephole
-pass **after** the IR pipeline, replacing every table-selected adjacent
-group with one ``("si", parts, dead)`` pseudo-instruction.  The VM binds
-an ``si`` to a *single* closure, generated and compiled once per
-distinct shape from straight-line Python source, so one dispatch retires
-two or three constituent instructions — and when a constituent's
+shrinks the number of *dispatches* the stream costs.  A fixed table of
+hot adjacent opcode shapes (``superinstr_table``, selected once from
+opcode-pair/triple histograms over the shipped fig1/4/8/9 + mandelbrot
+programs) drives :func:`fuse`, which rewrites each compiled
+:class:`Code` as a peephole pass **after** the IR pipeline, replacing
+every table-selected adjacent group with one ``("si", parts, dead)``
+pseudo-instruction.  The VM binds an ``si`` to a *single* closure,
+generated and compiled once per distinct shape from straight-line
+Python source, so one dispatch retires two or three constituent
+instructions — and when a constituent's
 destination slot is provably read only inside the group, its frame-slot
 write is skipped entirely and the value flows through a Python local.
 
@@ -28,8 +29,9 @@ Soundness notes
   constituents (division, matrix access) are fine in any position — a
   trap aborts the whole frame, so a partially-executed group is
   indistinguishable from a partially-executed unfused sequence.
-* Quickenable sites (``call``, division/modulo) are left unfused so the
-  VM's in-place rewriting (quickening, inline caches) still applies.
+* ``call`` and division/modulo never open or extend a group: the
+  shipped table was selected with them excluded, and these rules keep
+  fusion exactly as it was measured.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from repro.cexec.interp import c_div, c_mod
 import numpy as np
 
 # Opcodes legal in a non-tail position of a group: always fall through,
-# and have a pure-Python statement form `_gen_part` knows how to emit.
-# "/", "%" and "call" are deliberately absent (they quicken instead);
+# and have a pure-Python statement form `gen_source` knows how to emit.
+# "/", "%" and "call" are deliberately absent (see the module notes);
 # "intr"/"pool"/"spawn"/"sync"/"fastloop"/"rc_*" never fuse.
 STRAIGHT_OPS = frozenset([
     "const", "move", "+", "-", "*", "<", "<=", ">", ">=", "==", "!=",
@@ -59,12 +61,6 @@ TAIL_OPS = STRAIGHT_OPS | frozenset(["jmp", "jz", "jnz", "ret", "ret_none"])
 # always did; the fall-through path keeps retiring constituents — this
 # is what collapses short-circuit diamonds (`a && b`) into one closure.
 MID_OPS = STRAIGHT_OPS | frozenset(["jz", "jnz"])
-
-# Opcodes the VM quickens in place (see repro.cexec.vm) — excluded from
-# fusion so the self-rewriting closures still apply; exported here so
-# the disassembler can mark them without importing the VM.
-QUICKEN_OPS = frozenset(
-    ["call", "/", "%", "rt_getf", "rt_setf", "rt_geti", "rt_seti"])
 
 _JUMPS = ("jmp", "jz", "jnz", "fastloop")
 
@@ -118,7 +114,7 @@ def _dest(ins: tuple) -> int | None:
 
 
 # Longest run of constituents one fused closure may retire.  Groups are
-# built by chaining hot profile pairs, so the cap only bounds code-object
+# built by chaining hot table pairs, so the cap only bounds code-object
 # size per shape — semantics are length-independent.
 MAX_GROUP = 12
 
@@ -128,7 +124,7 @@ def fuse(code: Code, pairs: frozenset, triples: frozenset) -> tuple[Code, int]:
     groups into ``("si", parts, dead)`` pseudo-instructions.  Returns the
     (possibly new) :class:`Code` and the number of groups formed.
 
-    Selection is a chain rule over the profile tables: a group grows
+    Selection is a chain rule over the shape tables: a group grows
     while each consecutive opcode link is a hot pair (links contributed
     by hot triples count too), every non-final constituent is straight-
     line, and no constituent after the first is a jump target.  Chaining
@@ -368,129 +364,3 @@ def bind_super(ins: tuple, nxt: int, end: int):
         exec(compile(src, "<superinstr>", "exec"), ns)  # noqa: S102
         fn = _FN_CACHE[src] = ns["_si"]
     return fn
-
-
-# -- selection ----------------------------------------------------------------
-
-
-def select_table(hist: dict, *, max_pairs: int = 32, max_triples: int = 16,
-                 min_share: float = 0.002) -> tuple[tuple, tuple]:
-    """Derive a (pairs, triples) selection from a ``--profile`` histogram
-    dict: fusable shapes covering at least ``min_share`` of all dynamic
-    dispatches, hottest first."""
-    total = max(1, int(hist.get("dispatches", 0)))
-
-    def pick(kind: str, width: int, cap: int) -> tuple:
-        rows = []
-        for key, count in (hist.get(kind) or {}).items():
-            ops = tuple(key.split("|"))
-            if len(ops) != width or count / total < min_share:
-                continue
-            if not all(o in MID_OPS for o in ops[:-1]):
-                continue
-            if ops[-1] not in TAIL_OPS:
-                continue
-            rows.append((count, ops))
-        rows.sort(key=lambda r: (-r[0], r[1]))
-        return tuple(ops for _c, ops in rows[:cap])
-
-    return pick("pairs", 2, max_pairs), pick("triples", 3, max_triples)
-
-
-def merge_histograms(hists: list[dict]) -> dict:
-    out: dict = {"dispatches": 0, "pairs": {}, "triples": {}, "by_op": {}}
-    for h in hists:
-        out["dispatches"] += int(h.get("dispatches", 0))
-        for kind in ("pairs", "triples", "by_op"):
-            for k, v in (h.get(kind) or {}).items():
-                out[kind][k] = out[kind].get(k, 0) + v
-    return out
-
-
-# -- shipped-table regeneration (python -m repro.cexec.superinstr) ------------
-
-
-def corpus_histograms() -> list[dict]:
-    """Profile the shipped corpus (fig1/4/8/9 + mandelbrot) at small,
-    deterministic sizes and return the per-program histograms."""
-    import tempfile
-
-    from repro.cexec.interp import run_program
-    from repro.programs import corpus_cases
-
-    hists = []
-    for name, source, exts, inputs, outs in corpus_cases():
-        with tempfile.TemporaryDirectory(prefix="repro-prof-") as wd:
-            _rc, _outs, _stats, ex = run_program(
-                source, exts, inputs, workdir=wd,
-                output_names=outs, nthreads=1, profile=True)
-            hists.append(ex.profile_dump())
-    return hists
-
-
-def render_table(pairs: tuple, triples: tuple, provenance: str) -> str:
-    import hashlib
-
-    blob = repr((sorted(pairs), sorted(triples))).encode()
-    version = "s29-" + hashlib.sha1(blob).hexdigest()[:10]
-    lines = [
-        '"""Superinstruction selection table — GENERATED, do not edit.',
-        "",
-        f"Provenance: {provenance}",
-        "Regenerate: PYTHONPATH=src python -m repro.cexec.superinstr"
-        " --write-table",
-        '"""',
-        "",
-        f"TABLE_VERSION = {version!r}",
-        "",
-        "PAIRS = frozenset([",
-    ]
-    lines += [f"    {p!r}," for p in pairs]
-    lines += ["])", "", "TRIPLES = frozenset(["]
-    lines += [f"    {t!r}," for t in triples]
-    lines += ["])", ""]
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    import argparse
-    import json
-    from pathlib import Path
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.cexec.superinstr",
-        description="Select the superinstruction table from --profile "
-        "histograms (default: profile the shipped corpus in-process)")
-    ap.add_argument("histograms", nargs="*",
-                    help="JSON files from reproc --profile; when omitted "
-                    "the shipped fig1/4/8/9+mandelbrot corpus is profiled")
-    ap.add_argument("--write-table", action="store_true",
-                    help="rewrite src/repro/cexec/superinstr_table.py")
-    ap.add_argument("--max-pairs", type=int, default=32)
-    ap.add_argument("--max-triples", type=int, default=16)
-    ap.add_argument("--min-share", type=float, default=0.002)
-    args = ap.parse_args(argv)
-
-    if args.histograms:
-        hists = [json.loads(Path(p).read_text()) for p in args.histograms]
-        provenance = ", ".join(args.histograms)
-    else:
-        hists = corpus_histograms()
-        provenance = ("fig1/fig4/fig8/fig9+mandelbrot corpus, "
-                      "deterministic small inputs (seed 29)")
-    merged = merge_histograms(hists)
-    pairs, triples = select_table(
-        merged, max_pairs=args.max_pairs, max_triples=args.max_triples,
-        min_share=args.min_share)
-    text = render_table(pairs, triples, provenance)
-    if args.write_table:
-        out = Path(__file__).with_name("superinstr_table.py")
-        out.write_text(text)
-        print(f"wrote {out} ({len(pairs)} pairs, {len(triples)} triples)")
-    else:
-        print(text)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

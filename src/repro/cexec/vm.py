@@ -31,7 +31,6 @@ and elides the rest inline.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 import weakref
@@ -44,16 +43,12 @@ from repro.analysis.hazards import PROCESS_BLOCKERS
 from repro.cexec import superinstr
 from repro.cexec.bytecode import BytecodeProgram, Code
 from repro.cexec.interp import (
-    InterpError, InterpStats, RTMat, RTRuntime, RuntimeTrap, c_div, c_mod,
+    InterpError, InterpStats, RTMat, RTRuntime, c_div, c_mod,
 )
 from repro.cexec.parallel import (
     ProcessShardPool, attach_shm, make_pool, resolve_backend,
 )
-
-
-def _flag_off(name: str) -> bool:
-    """True when env var *name* is set to a non-empty, non-``0`` value."""
-    return os.environ.get(name, "") not in ("", "0")
+from repro.util import env_flag
 
 
 def _shippable_captures(captures: list) -> str | None:
@@ -75,9 +70,7 @@ class VM(RTRuntime):
 
     def __init__(self, lowered_root: Node, ctx, *, workdir: str | Path = ".",
                  nthreads: int = 1, program: BytecodeProgram | None = None,
-                 fork_mode: str = "enhanced",
-                 parallel_backend: str | None = None,
-                 profile: bool = False):
+                 parallel_backend: str | None = None):
         # Thread-local redirection target must exist before RTRuntime's
         # __init__ assigns the stats/stdout properties below.
         self._tl = threading.local()
@@ -85,9 +78,10 @@ class VM(RTRuntime):
         self._main_stdout: list[str] = []
         super().__init__(workdir=workdir, nthreads=nthreads)
         self.program = program or BytecodeProgram(lowered_root, ctx)
-        self._ops: dict[str, list] = {}
-        self._lifted_ops: dict[str, list] = {}
-        self._fork_mode = fork_mode
+        # name -> (bound ops, nregs, nparams) for functions; name ->
+        # (bound ops, nregs) for lifted pool-worker bodies.
+        self._fns: dict[str, tuple] = {}
+        self._lifted: dict[str, tuple] = {}
         self._backend = resolve_backend(parallel_backend)
         self._pool = None
         self._pool_finalizer = None
@@ -105,38 +99,17 @@ class VM(RTRuntime):
             t = 0.0
         self._shard_timeout_s = t if t > 0 else None
         self._closed = False
-        # S29 dispatch specialization.  REPRO_NO_QUICKEN is the master
-        # escape hatch (kills fusion + quickening + ICs + frame pooling);
-        # the finer-grained switches disable one mechanism at a time.  A
-        # profiling VM runs fully generic so the histogram reflects the
-        # shipped (unfused) instruction stream.
-        self._counting = bool(os.environ.get("REPRO_COUNT_INSTRS"))
-        self._profiling = bool(profile)
-        spec_off = _flag_off("REPRO_NO_QUICKEN") or self._profiling
-        # A counting VM executes the *generic* stream: fusion's jump
+        # S29 dispatch specialization: superinstruction fusion, bind-time
+        # jump threading and arity-specialized intrinsics.
+        # REPRO_NO_QUICKEN=1 selects the generic reference stream.  A
+        # counting VM executes the generic stream too: fusion's jump
         # threading and mid-group early exits genuinely retire fewer
         # dispatches, which would skew the dynamic-instruction totals
-        # the E-IR gates compare across optimizer levels.  Quickening
-        # and inline caches are 1:1 with generic dispatches and stay on.
-        self._spec_fuse = not (spec_off or self._counting
-                               or _flag_off("REPRO_NO_SUPERINSTR"))
-        self._quicken = not spec_off
-        self._frame_pool = not (spec_off or _flag_off("REPRO_NO_FRAME_POOL"))
-        # id(ops) -> per-pc metadata for the counting/profiling loops;
-        # registered by _bind so fused sites keep constituent-true counts.
-        self._widths: dict[int, list[int]] = {}
-        self._opnames: dict[int, list[str]] = {}
-        # Inline-cache cells created by quickened matrix-access sites;
-        # folded into the main stats at drain time.
-        self._ic_cells: list[list] = []
+        # the E-IR gates compare across optimizer levels.
+        self._counting = env_flag("REPRO_COUNT_INSTRS")
+        self._spec = not (env_flag("REPRO_NO_QUICKEN") or self._counting)
         if self._counting:
             self._run = self._run_counting
-        if self._profiling:
-            self._run = self._run_profiling
-            self._profile_pairs: dict[tuple, int] = {}
-            self._profile_triples: dict[tuple, int] = {}
-            self._profile_by_op: dict[str, int] = {}
-            self._profile_dispatches = 0
         # Guards refcount read-modify-writes and the deferred task-stats
         # accumulator while worker threads are live.
         self._rc_lock = threading.Lock()
@@ -198,88 +171,38 @@ class VM(RTRuntime):
             self._drain_tasks()
         return int(out) if out is not None else 0
 
-    def _exec_code_for(self, name: str) -> Code:
-        """The instruction stream this VM actually executes for *name*:
-        the superinstruction-fused stream when specialization is on,
-        the plain S28-optimized stream otherwise.  Analysis consumers
-        (callgraph hazard scans, fingerprints) keep using ``code_for`` —
-        fusion must never hide a trap/call from them."""
-        p = self.program
-        return p.spec_code_for(name) if self._spec_fuse else p.code_for(name)
-
-    def _exec_lifted_code_for(self, name: str) -> Code:
-        p = self.program
-        return (p.spec_lifted_code_for(name) if self._spec_fuse
-                else p.lifted_code_for(name))
-
-    def _bind(self, code: Code) -> list:
-        """bind() plus per-``ops`` metadata registration for the
-        counting/profiling dispatch loops (keyed by ``id(ops)``; the
-        ops lists are cached for the VM's lifetime, so ids are stable).
-        A fused ``si`` site has width ``len(parts)`` so counting mode
-        still reports constituent dynamic instructions and E-IR numbers
-        stay comparable across specialized and generic runs."""
-        ops = bind(code, self)
-        if self._counting:
-            self._widths[id(ops)] = [
-                len(ins[1]) if ins[0] == "si" else 1 for ins in code.instrs]
-        if self._profiling:
-            self._opnames[id(ops)] = [ins[0] for ins in code.instrs]
-        return ops
-
-    def _poolable(self, code: Code) -> bool:
-        """A frame may be recycled unless the code spawns tasks (a task
-        may write ``frame[target]`` after the frame returns to the pool)
-        or pooling is disabled.  Slots beyond the arguments are *not*
-        cleared on reuse: the compiler zero-initializes every declared
-        variable before first read, so stale values are never observable."""
-        if not self._frame_pool:
-            return False
-        p = getattr(code, "_poolable", None)
-        if p is None:
-            p = not any(ins[0] == "spawn" for ins in code.instrs)
-            code._poolable = p
-        return p
+    # The instruction stream this VM executes is the superinstruction-
+    # fused one when specialization is on, the plain S28-optimized one
+    # otherwise.  Analysis consumers (callgraph hazard scans,
+    # fingerprints) keep using ``code_for``: fusion must never hide a
+    # trap or call from them.  Binding is benign under concurrency: it
+    # is deterministic, so losers of the (atomic) dict race just rebuilt
+    # an equal entry.
 
     def call_function(self, name: str, args: list):
-        ops = self._ops.get(name)
-        if ops is None:
-            # Benign under concurrency: binding is deterministic, losers
-            # of the (atomic) dict race just rebuilt an equal list.
-            ops = self._bind(self._exec_code_for(name))
-            self._ops[name] = ops
-        code = self._exec_code_for(name)
-        if len(code.params) != len(args):
+        fn = self._fns.get(name)
+        if fn is None:
+            p = self.program
+            code = p.spec_code_for(name) if self._spec else p.code_for(name)
+            fn = self._fns[name] = (bind(code, self), code.nregs,
+                                    len(code.params))
+        ops, nregs, nparams = fn
+        if nparams != len(args):
             raise InterpError(
-                f"{name}: expected {len(code.params)} args, got {len(args)}")
-        return self._run(ops, code.nregs, args, self._poolable(code))
+                f"{name}: expected {nparams} args, got {len(args)}")
+        return self._run(ops, nregs, args)
 
-    def _run(self, ops: list, nregs: int, args: list,
-             poolable: bool = False):
-        if poolable:
-            tl = self._tl
-            pools = getattr(tl, "frames", None)
-            if pools is None:
-                pools = tl.frames = {}
-            stack = pools.get(nregs)
-            if stack is None:
-                stack = pools[nregs] = []
-            if stack:
-                frame = stack.pop()
-                frame[0] = None
-            else:
-                frame = [None] * nregs
-            frame[1:1 + len(args)] = args
-            pc = 0
-            n = len(ops)
-            while pc < n:
-                pc = ops[pc](frame)
-            ret = frame[0]
-            # Recycle only on clean exit (a trapped frame is abandoned —
-            # a handler may still reference it via the traceback).
-            if len(stack) < 8:
-                stack.append(frame)
-            return ret
+    def _lifted_fn(self, fname: str) -> tuple:
+        """(bound ops, nregs) of one lifted pool-worker body."""
+        fn = self._lifted.get(fname)
+        if fn is None:
+            p = self.program
+            code = (p.spec_lifted_code_for(fname) if self._spec
+                    else p.lifted_code_for(fname))
+            fn = self._lifted[fname] = (bind(code, self), code.nregs)
+        return fn
+
+    def _run(self, ops: list, nregs: int, args: list):
         frame = [None] * nregs
         frame[1:1 + len(args)] = args
         pc = 0
@@ -288,76 +211,21 @@ class VM(RTRuntime):
             pc = ops[pc](frame)
         return frame[0]
 
-    def _run_counting(self, ops: list, nregs: int, args: list,
-                      poolable: bool = False):
+    def _run_counting(self, ops: list, nregs: int, args: list):
         """Dispatch loop variant that counts retired instructions into
         the (thread-local) stats — installed over ``_run`` at init when
         ``REPRO_COUNT_INSTRS`` is set, so the common path stays lean.
-        Fused superinstructions retire as their constituent count via
-        the per-pc width table registered by ``_bind``."""
+        A counting VM never fuses, so one dispatch is one instruction."""
         frame = [None] * nregs
         frame[1:1 + len(args)] = args
         pc = 0
         n = len(ops)
         count = 0
-        widths = self._widths.get(id(ops))
-        if widths is None:
-            while pc < n:
-                count += 1
-                pc = ops[pc](frame)
-        else:
-            while pc < n:
-                count += widths[pc]
-                pc = ops[pc](frame)
+        while pc < n:
+            count += 1
+            pc = ops[pc](frame)
         self.stats.instrs += count
         return frame[0]
-
-    def _run_profiling(self, ops: list, nregs: int, args: list,
-                       poolable: bool = False):
-        """Dispatch loop variant for ``reproc --profile``: records the
-        executed opcode stream's adjacent fall-through pairs and triples
-        (the candidates superinstruction fusion could legally merge) into
-        histograms.  Only straight-line adjacency counts — ``pc == prev
-        + 1`` — because fusion never spans a taken branch."""
-        names = self._opnames[id(ops)]
-        pairs = self._profile_pairs
-        triples = self._profile_triples
-        by_op = self._profile_by_op
-        frame = [None] * nregs
-        frame[1:1 + len(args)] = args
-        pc = 0
-        n = len(ops)
-        disp = 0
-        p1 = -9  # previous pc
-        p2 = -9  # pc before that
-        while pc < n:
-            disp += 1
-            name = names[pc]
-            by_op[name] = by_op.get(name, 0) + 1
-            if pc == p1 + 1:
-                k = (names[p1], name)
-                pairs[k] = pairs.get(k, 0) + 1
-                if p1 == p2 + 1:
-                    k3 = (names[p2], k[0], name)
-                    triples[k3] = triples.get(k3, 0) + 1
-            p2 = p1
-            p1 = pc
-            pc = ops[pc](frame)
-        self._profile_dispatches += disp
-        return frame[0]
-
-    def profile_dump(self) -> dict:
-        """The recorded dispatch histograms as a JSON-ready dict (see
-        ``repro.cexec.superinstr.select_table`` for the consumer)."""
-        return {
-            "version": 1,
-            "dispatches": self._profile_dispatches,
-            "pairs": {"|".join(k): v
-                      for k, v in sorted(self._profile_pairs.items())},
-            "triples": {"|".join(k): v
-                        for k, v in sorted(self._profile_triples.items())},
-            "by_op": dict(sorted(self._profile_by_op.items())),
-        }
 
     # -- pool lifecycle ------------------------------------------------------
 
@@ -365,7 +233,7 @@ class VM(RTRuntime):
         if self.nthreads <= 1 or self._closed:
             return None
         if self._pool is None:
-            self._pool = make_pool(self.nthreads, self._fork_mode)
+            self._pool = make_pool(self.nthreads)
             if self._pool is not None:
                 self._pool_finalizer = weakref.finalize(
                     self, self._pool.shutdown)
@@ -433,28 +301,11 @@ class VM(RTRuntime):
         with self._rc_lock:
             task_stats, self._task_stats = self._task_stats, InterpStats()
         self._main_stats.merge(task_stats)
-        # Snapshot the inline-cache cells into the stats.  Assignment
-        # (not +=) keeps repeated drains idempotent; cell[3] (execution
-        # count) is only maintained in counting mode, so ic_hits stays 0
-        # on lean runs while ic_misses is always exact.
-        cells = self._ic_cells
-        if cells:
-            misses = 0
-            execs = 0
-            for c in cells:
-                misses += c[2]
-                execs += c[3]
-            self._main_stats.ic_misses = misses
-            self._main_stats.ic_hits = max(0, execs - misses)
 
     # -- pool regions --------------------------------------------------------
 
     def _pool_run(self, fname: str, total: int, captures: list) -> None:
-        ops = self._lifted_ops.get(fname)
-        if ops is None:
-            ops = self._bind(self._exec_lifted_code_for(fname))
-            self._lifted_ops[fname] = ops
-        code = self._exec_lifted_code_for(fname)
+        ops, nregs = self._lifted_fn(fname)
         self.stats.parallel_regions += 1
         self.stats.region_sizes.append(total)
         self._record_cert(fname)
@@ -478,13 +329,12 @@ class VM(RTRuntime):
             # pool's rt_pool_region_active path.
             self.stats.bail(
                 "shard", "nested inside an active parallel region")
-        elif self._dispatch_region(ops, code, fname, captures, shards):
+        elif self._dispatch_region(ops, nregs, fname, captures, shards):
             return
         # Sequential path: nthreads=1, ineligible body, nested region, or
         # pool refusal — same shard boundaries, run in order inline.
-        poolable = self._poolable(code)
         for lo, hi in shards:
-            self._run(ops, code.nregs, captures + [lo, hi], poolable)
+            self._run(ops, nregs, captures + [lo, hi])
 
     def _record_cert(self, fname: str) -> None:
         """File the S30 shard disjointness certificate for a region in
@@ -502,7 +352,7 @@ class VM(RTRuntime):
             self.stats.certs[fname] = \
                 ("proven: " if proven else "not proven: ") + why
 
-    def _dispatch_region(self, ops, code: Code, fname: str, captures: list,
+    def _dispatch_region(self, ops, nregs: int, fname: str, captures: list,
                          shards: list) -> bool:
         """Route one eligible region to a parallel backend; ``False``
         means a bail reason was recorded and the caller must run the
@@ -535,7 +385,7 @@ class VM(RTRuntime):
         if pool is None:  # pragma: no cover - guarded by caller checks
             self.stats.bail("shard", "single worker thread (pool disabled)")
             return False
-        if self._pool_run_parallel(ops, code, captures, shards, pool):
+        if self._pool_run_parallel(ops, nregs, captures, shards, pool):
             return True
         self.stats.bail("shard", "nested inside an active parallel region")
         return False
@@ -562,12 +412,11 @@ class VM(RTRuntime):
             return ", ".join(hz)
         return _shippable_captures(captures)
 
-    def _pool_run_parallel(self, ops, code: Code, captures: list,
+    def _pool_run_parallel(self, ops, nregs: int, captures: list,
                            shards: list, pool) -> bool:
         """Dispatch one fork-join region; ``False`` defers to the caller's
         sequential loop (nested region or off-owner-thread)."""
         results: list = [None] * len(shards)
-        poolable = self._poolable(code)
 
         def make_job(i: int, lo: int, hi: int):
             def job():
@@ -581,7 +430,7 @@ class VM(RTRuntime):
                 tl.stats, tl.stdout = InterpStats(), []
                 exc = None
                 try:
-                    self._run(ops, code.nregs, captures + [lo, hi], poolable)
+                    self._run(ops, nregs, captures + [lo, hi])
                 except Exception as e:
                     exc = e
                 finally:
@@ -677,14 +526,7 @@ class VM(RTRuntime):
         shard 0): rebuild the captures as numpy views over the shared
         segment, run the lifted body, and return the shard's private
         ``(stats, stdout, exc)``."""
-        fname = job["fname"]
-        ops = self._lifted_ops.get(fname)
-        if ops is None:
-            # Quickening writes land in this (forked) worker's private
-            # copy of the ops list — never shared back with the parent.
-            ops = self._bind(self._exec_lifted_code_for(fname))
-            self._lifted_ops[fname] = ops
-        code = self._exec_lifted_code_for(fname)
+        ops, nregs = self._lifted_fn(job["fname"])
         shm = attach_shm(job["shm"])
         captures: list = []
         try:
@@ -702,8 +544,7 @@ class VM(RTRuntime):
             tl.stats, tl.stdout = InterpStats(), []
             exc = None
             try:
-                self._run(ops, code.nregs, captures + [job["lo"], job["hi"]],
-                          self._poolable(code))
+                self._run(ops, nregs, captures + [job["lo"], job["hi"]])
             except Exception as e:
                 # Tracebacks pin frames whose locals reference the shm
                 # views (and do not pickle anyway): keep the bare error.
@@ -769,14 +610,6 @@ class VM(RTRuntime):
                 raise task.exc
 
 
-# Opcodes with a quickened (self-rewriting) variant.  Each starts as a
-# generic closure that, on first execution, replaces itself in the ops
-# list with a type- or callee-specialized form; a failed type guard
-# deopts permanently back to the generic semantics.  The rewrite touches
-# only this VM's private ops list — forked shard workers bind their own.
-_QUICKEN_OPS = superinstr.QUICKEN_OPS
-
-
 def bind(code: Code, vm: VM) -> list:
     """Thread a :class:`Code` for one VM: one closure per instruction.
 
@@ -790,8 +623,7 @@ def bind(code: Code, vm: VM) -> list:
     instrs = code.instrs
     ops: list = []
     end = len(instrs)
-    quicken = getattr(vm, "_quicken", False)
-    spec = getattr(vm, "_spec_fuse", False)
+    spec = vm._spec
 
     if spec:
         def thread(j: int) -> int:
@@ -820,9 +652,7 @@ def bind(code: Code, vm: VM) -> list:
                 ins = (op, parts, ins[2])
         if op == "si":
             ops.append(superinstr.bind_super(ins, nxt, end))
-        elif quicken and op in _QUICKEN_OPS:
-            ops.append(_bind_quicken(ins, nxt, end, vm, ops, i))
-        elif quicken and op == "intr":
+        elif spec and op == "intr":
             ops.append(_bind_intr_spec(ins, nxt, vm))
         else:
             ops.append(_bind_one(ins, nxt, end, vm))
@@ -858,214 +688,6 @@ def _bind_intr_spec(ins: tuple, nxt: int, vm: VM):
             frame[d] = meth(*[frame[r] for r in regs])
             return nxt
     return f
-
-
-def _bind_quicken(ins: tuple, nxt: int, end: int, vm: VM, ops: list, i: int):
-    op = ins[0]
-    if op == "call":
-        return _quicken_call(ins, nxt, vm, ops, i)
-    if op in ("/", "%"):
-        return _quicken_divmod(ins, nxt, vm, ops, i)
-    return _quicken_matacc(ins, nxt, vm, ops, i)
-
-
-def _quicken_call(ins: tuple, nxt: int, vm: VM, ops: list, i: int):
-    """``call`` quickens to a direct dispatch into the callee's already
-    bound ops — skipping the per-call dict lookup, Code fetch and arity
-    check (validated once, here)."""
-    _, d, name, regs = ins
-
-    def q(frame, d=d, name=name, regs=regs, nxt=nxt, vm=vm, ops=ops, i=i):
-        frame[d] = vm.call_function(name, [frame[r] for r in regs])
-        if ops[i] is q:
-            code = vm._exec_code_for(name)
-            callee = vm._ops[name]
-            run = vm._run
-            pl = vm._poolable(code)
-
-            def fast(frame, run=run, callee=callee, nregs=code.nregs,
-                     regs=regs, d=d, nxt=nxt, pl=pl):
-                frame[d] = run(callee, nregs, [frame[r] for r in regs], pl)
-                return nxt
-
-            ops[i] = fast
-            vm.stats.quickened += 1
-        return nxt
-
-    return q
-
-
-def _quicken_divmod(ins: tuple, nxt: int, vm: VM, ops: list, i: int):
-    """``/`` and ``%`` quicken on the first operand types seen: an
-    int/int site inlines C-style truncating division (exact c_div/c_mod
-    semantics, including the trap messages), a float/float site inlines
-    the float form.  A strict ``type() is`` guard failure — including
-    bools, which c_div deliberately treats as ints — deopts the site to
-    the generic closure for good."""
-    op, d, a, b = ins
-    is_div = op == "/"
-    gen = c_div if is_div else c_mod
-
-    def generic(frame, d=d, a=a, b=b, nxt=nxt, gen=gen):
-        frame[d] = gen(frame[a], frame[b])
-        return nxt
-
-    def deopt(x, y, gen=gen, ops=ops, i=i, vm=vm, generic=generic):
-        ops[i] = generic
-        vm.stats.deopts += 1
-        return gen(x, y)
-
-    if is_div:
-        def fast_int(frame, d=d, a=a, b=b, nxt=nxt, deopt=deopt):
-            x = frame[a]
-            y = frame[b]
-            if type(x) is int and type(y) is int:
-                if y == 0:
-                    raise RuntimeTrap("integer division by zero")
-                q = abs(x) // abs(y)
-                frame[d] = q if (x >= 0) == (y >= 0) else -q
-            else:
-                frame[d] = deopt(x, y)
-            return nxt
-
-        def fast_float(frame, d=d, a=a, b=b, nxt=nxt, deopt=deopt):
-            x = frame[a]
-            y = frame[b]
-            if type(x) is float and type(y) is float:
-                frame[d] = x / y
-            else:
-                frame[d] = deopt(x, y)
-            return nxt
-    else:
-        def fast_int(frame, d=d, a=a, b=b, nxt=nxt, deopt=deopt):
-            x = frame[a]
-            y = frame[b]
-            if type(x) is int and type(y) is int:
-                if y == 0:
-                    raise RuntimeTrap("integer modulo by zero")
-                q = abs(x) // abs(y)
-                if (x >= 0) != (y >= 0):
-                    q = -q
-                frame[d] = x - q * y
-            else:
-                frame[d] = deopt(x, y)
-            return nxt
-
-        def fast_float(frame, d=d, a=a, b=b, nxt=nxt, deopt=deopt):
-            x = frame[a]
-            y = frame[b]
-            if type(x) is float and type(y) is float:
-                frame[d] = math.fmod(x, y)
-            else:
-                frame[d] = deopt(x, y)
-            return nxt
-
-    def q(frame, d=d, a=a, b=b, nxt=nxt, gen=gen):
-        x = frame[a]
-        y = frame[b]
-        if ops[i] is q:
-            if type(x) is int and type(y) is int:
-                ops[i] = fast_int
-            elif type(x) is float and type(y) is float:
-                ops[i] = fast_float
-            else:
-                ops[i] = generic
-            vm.stats.quickened += 1
-        frame[d] = gen(x, y)
-        return nxt
-
-    return q
-
-
-def _quicken_matacc(ins: tuple, nxt: int, vm: VM, ops: list, i: int):
-    """Matrix element access quickens with a per-site inline cache on
-    the RTMat identity: while the same matrix object flows through the
-    site (the overwhelmingly common case — a loop body hammering one
-    array), the payload ``.data`` attribute load is cached.  A different
-    matrix is a cache miss, not a deopt: the cell re-fills and the site
-    stays fast.  The cache holds the *identity*, never shape or dtype,
-    so it needs no invalidation — an RTMat's data array is replaced only
-    together with the object itself."""
-    op = ins[0]
-    counting = vm._counting
-    if op in ("rt_getf", "rt_geti"):
-        _, d, m, ix = ins
-        conv = float if op == "rt_getf" else int
-
-        def q(frame, d=d, m=m, ix=ix, nxt=nxt, conv=conv):
-            mat = frame[m]
-            cell = [mat, mat.data, 0, 0]  # [mat, data, misses, execs]
-            if counting:
-                def fast(frame, d=d, m=m, ix=ix, nxt=nxt, cell=cell,
-                         conv=conv):
-                    cell[3] += 1
-                    mat = frame[m]
-                    if mat is cell[0]:
-                        data = cell[1]
-                    else:
-                        cell[0] = mat
-                        data = cell[1] = mat.data
-                        cell[2] += 1
-                    frame[d] = conv(data[int(frame[ix])])
-                    return nxt
-            else:
-                def fast(frame, d=d, m=m, ix=ix, nxt=nxt, cell=cell,
-                         conv=conv):
-                    mat = frame[m]
-                    if mat is cell[0]:
-                        data = cell[1]
-                    else:
-                        cell[0] = mat
-                        data = cell[1] = mat.data
-                        cell[2] += 1
-                    frame[d] = conv(data[int(frame[ix])])
-                    return nxt
-            if ops[i] is q:
-                vm._ic_cells.append(cell)
-                ops[i] = fast
-                vm.stats.quickened += 1
-            frame[d] = conv(cell[1][int(frame[ix])])
-            return nxt
-
-        return q
-
-    _, m, ix, v = ins
-    conv = np.float32 if op == "rt_setf" else int
-
-    def q(frame, m=m, ix=ix, v=v, nxt=nxt, conv=conv):
-        mat = frame[m]
-        cell = [mat, mat.data, 0, 0]
-        if counting:
-            def fast(frame, m=m, ix=ix, v=v, nxt=nxt, cell=cell, conv=conv):
-                cell[3] += 1
-                mat = frame[m]
-                if mat is cell[0]:
-                    data = cell[1]
-                else:
-                    cell[0] = mat
-                    data = cell[1] = mat.data
-                    cell[2] += 1
-                data[int(frame[ix])] = conv(frame[v])
-                return nxt
-        else:
-            def fast(frame, m=m, ix=ix, v=v, nxt=nxt, cell=cell, conv=conv):
-                mat = frame[m]
-                if mat is cell[0]:
-                    data = cell[1]
-                else:
-                    cell[0] = mat
-                    data = cell[1] = mat.data
-                    cell[2] += 1
-                data[int(frame[ix])] = conv(frame[v])
-                return nxt
-        if ops[i] is q:
-            vm._ic_cells.append(cell)
-            ops[i] = fast
-            vm.stats.quickened += 1
-        cell[1][int(frame[ix])] = conv(frame[v])
-        return nxt
-
-    return q
 
 
 def _bind_one(ins: tuple, nxt: int, end: int, vm: VM):

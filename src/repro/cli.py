@@ -150,7 +150,7 @@ def disasm_main(argv: list[str]) -> int:
                     help="show the dispatch-specialized stream the VM "
                     "executes (S29): fused superinstructions rendered as "
                     "si [part] groups (* marks an elided intermediate "
-                    "write), quickening candidates marked ~q")
+                    "write)")
     ap.add_argument("-O", "--opt-level", type=int, choices=(0, 1, 2),
                     default=2, help="optimization level (default 2)")
     args = ap.parse_args(argv)
@@ -190,11 +190,9 @@ def disasm_main(argv: list[str]) -> int:
             print("-- bytecode --")
             print(stages["bytecode"])
         elif args.spec:
-            from repro.cexec.superinstr import QUICKEN_OPS
-
             code = (prog.spec_lifted_code_for(name) if lifted
                     else prog.spec_code_for(name))
-            print(code.dis(quicken=QUICKEN_OPS))
+            print(code.dis())
         else:
             code = (prog.lifted_code_for(name) if lifted
                     else prog.code_for(name))
@@ -487,11 +485,8 @@ def _print_interp_stats(stats) -> None:
         print(f"shard cert: {region}: {stats.certs[region]}")
     if stats.instrs:
         print(f"instrs={stats.instrs}")
-    if (stats.quickened or stats.deopts or stats.ic_hits
-            or stats.ic_misses or stats.guards_elided):
-        print(f"spec: quickened={stats.quickened} deopts={stats.deopts} "
-              f"ic_hits={stats.ic_hits} ic_misses={stats.ic_misses} "
-              f"guards_elided={stats.guards_elided}")
+    if stats.guards_elided:
+        print(f"spec: guards_elided={stats.guards_elided}")
     if stats.opt_counts:
         print("opt: " + " ".join(f"{k}={stats.opt_counts[k]}"
                                  for k in sorted(stats.opt_counts)))
@@ -552,13 +547,6 @@ def main(argv: list[str] | None = None) -> int:
                     "(allocs/frees/regions) and the fast-path/shard "
                     "bail reasons after the program exits; with no "
                     "source: print the shared service counters")
-    ap.add_argument("--profile", metavar="FILE",
-                    help="with --run (vm engine): execute generically — "
-                    "no superinstructions or quickening — recording the "
-                    "executed opcode pair/triple histograms, and write "
-                    "them to FILE as JSON; feed the files to `python -m "
-                    "repro.cexec.superinstr` to (re)select the "
-                    "superinstruction table")
     ap.add_argument("--list-extensions", action="store_true",
                     help="list available language extensions")
     args = ap.parse_args(argv)
@@ -631,18 +619,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.engine == "tree" and nthreads > 1:
             print("reproc: tree engine is sequential; ignoring "
                   f"--threads {nthreads}", file=sys.stderr)
-        if args.profile and args.engine != "vm":
-            print("reproc: --profile requires --engine vm", file=sys.stderr)
-            return 1
-        if args.profile:
-            # Profiling is sequential: shard workers would interleave
-            # their dispatch streams into one histogram.
-            nthreads = 1
         executor = result.make_engine(engine=args.engine,
                                       workdir=src_path.parent,
                                       nthreads=nthreads,
-                                      parallel_backend=args.parallel_backend,
-                                      profile=bool(args.profile))
+                                      parallel_backend=args.parallel_backend)
         try:
             rc = executor.run_main()
         except RuntimeTrap as trap:
@@ -654,14 +634,6 @@ def main(argv: list[str] | None = None) -> int:
             executor.close()
         for line in executor.stdout:
             print(line)
-        if args.profile:
-            import json
-
-            dump = executor.profile_dump()
-            Path(args.profile).write_text(
-                json.dumps(dump, indent=2) + "\n")
-            print(f"wrote {args.profile} "
-                  f"({dump['dispatches']} dispatches)")
         if args.stats:
             _print_interp_stats(executor.stats)
         return rc

@@ -79,9 +79,8 @@ class CompileResult:
         return self._bytecode
 
     def make_engine(self, *, engine: str = "vm", workdir: str = ".",
-                    nthreads: int | None = None, fork_mode: str = "enhanced",
-                    parallel_backend: str | None = None,
-                    profile: bool = False):
+                    nthreads: int | None = None,
+                    parallel_backend: str | None = None):
         """A ready-to-run executor for this compile result.
 
         ``engine="vm"`` reuses the memoized :meth:`bytecode` program (so
@@ -100,9 +99,8 @@ class CompileResult:
         return _make_engine(self.lowered, self.ctx, engine=engine,
                             workdir=workdir,
                             nthreads=resolve_nthreads(nthreads),
-                            fork_mode=fork_mode, program=program,
-                            parallel_backend=parallel_backend,
-                            profile=profile)
+                            program=program,
+                            parallel_backend=parallel_backend)
 
 
 class Translator:

@@ -19,8 +19,6 @@ allowed to replace the original.
 
 from __future__ import annotations
 
-import os
-
 from repro.cexec.bytecode import Code
 
 from repro.ir import passes as P
@@ -28,6 +26,7 @@ from repro.ir.ssa import build_ssa, destroy_ssa
 from repro.ir.tac import (
     BINOPS, LOADS, STORES, TACFunc, UNOPS, Value, decode, linearize,
 )
+from repro.util import env_flag
 
 #: Per-pass rewrite counter names, in pipeline order (stats reporting).
 PASS_COUNTERS = ("fold", "copyprop", "cse", "thread", "licm", "strength",
@@ -102,7 +101,7 @@ def optimize_code(code: Code, level: int, counts) -> Code:
         # between every pass (tests/ir also runs it unconditionally);
         # otherwise passes stay check-free and any breakage is caught
         # by the structural _verify + bailout below.
-        if os.environ.get("REPRO_IR_STRICT"):
+        if env_flag("REPRO_IR_STRICT"):
             from repro.ir.verify import verify_fn
             verify_fn(fn, where="build_ssa")
             _run_passes(fn, level, counts,
@@ -115,7 +114,7 @@ def optimize_code(code: Code, level: int, counts) -> Code:
         counts["functions"] = counts.get("functions", 0) + 1
         return out
     except Exception:
-        if os.environ.get("REPRO_IR_STRICT"):
+        if env_flag("REPRO_IR_STRICT"):
             raise
         counts["bailouts"] = counts.get("bailouts", 0) + 1
         return code

@@ -34,10 +34,9 @@ def corpus_cases() -> list[tuple]:
     extensions, inputs, output_names)`` tuples ready for
     :func:`repro.cexec.interp.run_program`.
 
-    Shared by the E-IR instruction-count benchmark, the S29 profiling
-    run that regenerates the superinstruction table, and the dispatch-
-    specialization differential tests — same seeds everywhere, so all
-    three observe the same dynamic behavior.  The mandelbrot viewport
+    Shared by the E-IR instruction-count benchmark and the dispatch-
+    specialization differential tests — same seeds everywhere, so both
+    observe the same dynamic behavior.  The mandelbrot viewport
     and iteration budget are shrunk by textual substitution of the
     integer literals in the source (the compiled program is otherwise
     identical)."""

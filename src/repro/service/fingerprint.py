@@ -121,7 +121,7 @@ def translator_fingerprint(
         f"nthreads {nthreads}",
         # Dispatch-specialization selection table (S29): executions
         # through a cached translator must re-specialize when the
-        # shipped superinstruction table is regenerated.
+        # shipped superinstruction table is edited.
         f"spec {TABLE_VERSION}",
     ]
     for m in modules:

@@ -10,7 +10,7 @@ import pytest
 from repro.api import compile_source
 from repro.cexec.interp import InterpStats
 from repro.cexec.parallel import (
-    DEFAULT_TASK_CAP, NaiveForkJoin, WorkerPool, make_pool, resolve_nthreads)
+    DEFAULT_TASK_CAP, WorkerPool, resolve_nthreads)
 from repro.cexec.rmat import read_rmat, write_rmat
 from repro.cexec.vm import VM
 from repro.programs import load
@@ -197,34 +197,6 @@ class TestWorkerPool:
         assert not pool.alive
         assert pool.submit(lambda: None) is None
         assert pool.run_region([lambda: None] * 2) is False
-
-
-class TestNaiveForkJoin:
-    def test_region_runs_on_fresh_threads(self):
-        pool = NaiveForkJoin(3)
-        names = [set(), set()]
-        for _round in range(3):
-            pool.run_region(
-                [lambda: None,
-                 lambda: names[0].add(threading.current_thread().name),
-                 lambda: names[1].add(threading.current_thread().name)])
-        # spawn-per-construct: a brand-new Thread object every region
-        # (OS idents can be recycled, Thread names are unique)
-        assert len(names[0]) == 3 and len(names[1]) == 3
-        assert pool.regions_dispatched == 3
-
-    def test_tasks_always_elide(self):
-        pool = NaiveForkJoin(4)
-        assert pool.submit(lambda: None) is None
-
-    def test_make_pool_modes(self):
-        assert make_pool(1) is None
-        pool = make_pool(2, "enhanced")
-        assert isinstance(pool, WorkerPool)
-        pool.shutdown()
-        assert isinstance(make_pool(2, "naive"), NaiveForkJoin)
-        with pytest.raises(ValueError, match="fork mode"):
-            make_pool(2, "eager")
 
 
 class TestEligibilityAnalysis:

@@ -1,17 +1,16 @@
-"""S29 dispatch specialization: superinstructions, quickening, inline
-caches, jump threading, frame pooling, and guard elision.
+"""S29 dispatch specialization: superinstructions, jump threading,
+arity-specialized intrinsics, and guard elision.
 
 The specialized stream must be *observationally invisible*: for every
 corpus program — and for targeted programs poking traps inside fused
-groups and the deopt path — the quickened/fused VM produces bit-identical
-outputs, stdout, traps, and core InterpStats counters to both the
-unspecialized VM (``REPRO_NO_QUICKEN=1``) and the tree-walking reference.
-Counting mode must report the same dynamic instruction totals for a fused
-stream as for the generic one (superinstructions count as their
-constituents).
+groups and deep recursion — the fused VM produces bit-identical outputs,
+stdout, traps, and core InterpStats counters to both the generic VM
+(``REPRO_NO_QUICKEN=1``) and the tree-walking reference.  Counting mode
+must report the same dynamic instruction totals with specialization on
+as with it off (a counting VM always executes the generic stream).
 """
 
-import os
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from repro.cexec.bytecode import Code
 from repro.cexec.interp import RuntimeTrap, run_program
 from repro.cexec.vm import VM, bind
 from repro.cminus.env import Optimizations
-from repro.programs import corpus_cases, load
+from repro.programs import corpus_cases
 
 
 @pytest.fixture(autouse=True)
@@ -39,9 +38,8 @@ def run_one(src, exts, inputs=None, outputs=None, *, engine="vm",
             nthreads=1, backend=None, options=None):
     """(rc, trap, stats_tuple, stdout, outputs) for one configuration.
 
-    The stats tuple holds only the engine-differential counters; the S29
-    counters (quickened/deopts/ic_hits/ic_misses/guards_elided) are
-    diagnostics outside that contract.
+    The stats tuple holds only the engine-differential counters;
+    ``guards_elided`` is a diagnostic outside that contract.
     """
     trap = None
     rc, outs, st, ex = None, {}, None, None
@@ -72,11 +70,23 @@ def assert_identical(a, b, label=""):
             f"{label}: output {k} differs bit-for-bit"
 
 
+# Recursion-heavy: 1973 calls through the VM's one call path, into a
+# function whose body fuses.
+FIB = ("fib", """
+int fib(int n) {
+    if (n < 2) return n;
+    return fib(n - 1) + fib(n - 2);
+}
+int main() { printInt(fib(15)); return 0; }
+""", ["matrix"], {}, [])
+
+
 class TestCorpusIdentity:
-    """Specialized VM vs unspecialized VM vs tree walker, full corpus."""
+    """Specialized VM vs unspecialized VM vs tree walker: the full
+    corpus plus a recursion-heavy program."""
 
     @pytest.mark.parametrize(
-        "case", corpus_cases(), ids=lambda c: c[0])
+        "case", corpus_cases() + [FIB], ids=lambda c: c[0])
     def test_corpus_bit_identity(self, case, monkeypatch):
         name, src, exts, inputs, outs = case
         monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
@@ -89,9 +99,9 @@ class TestCorpusIdentity:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_shards_identical(self, backend, monkeypatch):
-        """Quickening is per-VM state: forked/threaded shard workers
-        bind their own ops lists, so a 4-worker run stays bit-identical
-        to the specialized sequential run under both backends."""
+        """Forked/threaded shard workers run the same fused stream, so a
+        4-worker run stays bit-identical to the specialized sequential
+        run under both backends."""
         name, src, exts, inputs, outs = next(
             c for c in corpus_cases() if c[0] == "fig1")
         seq = run_one(src, exts, inputs, outs, nthreads=1)
@@ -100,8 +110,8 @@ class TestCorpusIdentity:
         assert_identical(seq, par, f"fig1 spec {backend} x4")
 
     def test_counting_mode_totals_match(self, monkeypatch):
-        """A fused superinstruction is N dynamic instructions, not one:
-        REPRO_COUNT_INSTRS totals must not shrink under fusion."""
+        """REPRO_COUNT_INSTRS totals must not depend on whether
+        specialization is on: fusion may never shrink them."""
         monkeypatch.setenv("REPRO_COUNT_INSTRS", "1")
         name, src, exts, inputs, outs = next(
             c for c in corpus_cases() if c[0] == "fig4")
@@ -235,65 +245,6 @@ class TestFusion:
         assert errs[0] == errs[1]
 
 
-class TestQuickening:
-    def test_divmod_quickens_then_deopts(self):
-        vm = _mk_vm()
-        assert vm._quicken, "specialization unexpectedly disabled"
-        code = Code("f", ["a", "b"], 4, [
-            ("/", 3, 1, 2),
-            ("ret", 3),
-        ])
-        ops = bind(code, vm)
-        base = vm.stats.quickened
-        assert vm._run(ops, code.nregs, [7, 2]) == 3   # quickens to int/int
-        assert vm.stats.quickened == base + 1
-        assert vm._run(ops, code.nregs, [9, 2]) == 4   # stays on fast path
-        assert vm.stats.deopts == 0
-        # guard failure: float operands at an int-quickened site
-        assert vm._run(ops, code.nregs, [1.0, 2.0]) == 0.5
-        assert vm.stats.deopts == 1
-        # deopted site is permanently generic but still correct
-        assert vm._run(ops, code.nregs, [7, 2]) == 3
-
-    def test_quickened_div_trap_message_identical(self):
-        vm = _mk_vm()
-        code = Code("f", ["a", "b"], 4, [("/", 3, 1, 2), ("ret", 3)])
-        ops = bind(code, vm)
-        vm._run(ops, code.nregs, [6, 3])  # quicken to fast_int first
-        with pytest.raises(RuntimeTrap, match="integer division by zero"):
-            vm._run(ops, code.nregs, [6, 0])
-
-    def test_matrix_access_inline_cache(self, monkeypatch):
-        """The rt_get/set IC keys on RTMat identity; a different matrix
-        is a refill, not a deopt, and values stay exact."""
-        monkeypatch.setenv("REPRO_COUNT_INSTRS", "1")
-        vm = _mk_vm()
-        code = Code("f", ["m", "i"], 4, [
-            ("rt_geti", 3, 1, 2),
-            ("ret", 3),
-        ])
-        ops = bind(code, vm)
-        m1 = vm.rt_alloci(1, 3, 0, 0, 0)
-        m2 = vm.rt_alloci(1, 3, 0, 0, 0)
-        m1.data[1] = 41
-        m2.data[1] = 42
-        assert vm._run(ops, code.nregs, [m1, 1]) == 41
-        assert vm._run(ops, code.nregs, [m1, 1]) == 41
-        assert vm._run(ops, code.nregs, [m2, 1]) == 42  # cache refill
-        assert vm._run(ops, code.nregs, [m1, 1]) == 41
-        vm._drain_tasks()
-        assert vm.stats.ic_misses >= 2  # m2 switch + switch back
-        assert vm.stats.ic_hits >= 1
-
-    def test_no_quicken_env_disables_all(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
-        vm = _mk_vm()
-        code = Code("f", ["a", "b"], 4, [("/", 3, 1, 2), ("ret", 3)])
-        ops = bind(code, vm)
-        assert vm._run(ops, code.nregs, [7, 2]) == 3
-        assert vm.stats.quickened == 0
-
-
 class TestJumpThreading:
     def test_jmp_chain_threaded_in_spec_stream(self):
         vm = _mk_vm()
@@ -317,22 +268,6 @@ class TestJumpThreading:
             ("ret", 1),
         ])
         bind(code, vm)  # merely binding must terminate
-
-
-class TestFramePool:
-    def test_recursion_identical_with_pool_off(self, monkeypatch):
-        src = """
-        int fib(int n) {
-            if (n < 2) return n;
-            return fib(n - 1) + fib(n - 2);
-        }
-        int main() { printInt(fib(15)); return 0; }
-        """
-        on = run_one(src, ["matrix"])
-        monkeypatch.setenv("REPRO_NO_FRAME_POOL", "1")
-        off = run_one(src, ["matrix"])
-        assert_identical(on, off, "frame pool on/off")
-        assert on[3] == ["610"]
 
 
 class TestGuardElision:
@@ -376,57 +311,19 @@ class TestGuardElision:
 
 
 class TestProfileAndTable:
-    def test_profile_dump_shape(self, tmp_path):
-        name, src, exts, inputs, outs = next(
-            c for c in corpus_cases() if c[0] == "fig1")
-        cr = compile_source(src, list(exts))
-        assert cr.ok
-        for fname, arr in (inputs or {}).items():
-            from repro.cexec.rmat import write_rmat
-            write_rmat(tmp_path / fname, arr)
-        eng = cr.make_engine(workdir=str(tmp_path), nthreads=1,
-                             profile=True)
-        assert eng.run_main() == 0
-        dump = eng.profile_dump()
-        eng.close()
-        assert dump["version"] == 1 and dump["dispatches"] > 0
-        assert all("|" in k and len(k.split("|")) == 2
-                   for k in dump["pairs"])
-        assert all(len(k.split("|")) == 3 for k in dump["triples"])
-        assert sum(dump["by_op"].values()) == dump["dispatches"]
-
-    def test_select_table_eligibility(self):
-        hist = {
-            "dispatches": 1000,
-            "pairs": {
-                "move|move": 400,
-                "call|move": 300,     # call may not open a group
-                "jz|const": 200,      # conditional may lead a group
-                "move|spawn": 150,    # spawn is no legal tail
-                "move|jz": 100,
-                "const|const": 1,     # below min_share
-            },
-            "triples": {"move|jz|const": 90,   # mid-group conditional ok
-                        "move|jmp|const": 80},  # jmp only legal as tail
-        }
-        pairs, triples = superinstr.select_table(hist)
-        assert ("move", "move") in pairs
-        assert ("jz", "const") in pairs
-        assert ("move", "jz") in pairs
-        assert ("call", "move") not in pairs
-        assert ("move", "spawn") not in pairs
-        assert ("const", "const") not in pairs
-        assert ("move", "jz", "const") in triples
-        assert ("move", "jmp", "const") not in triples
+    """The profile-selected superinstruction table."""
 
     def test_table_version_pins_fingerprint(self, monkeypatch):
-        """Regenerating the shipped selection table must invalidate the
-        in-memory translator cache."""
+        """Editing the shipped selection table must invalidate the
+        in-memory translator cache: the version is the content hash."""
         from repro.api import module_registry
         from repro.cexec import superinstr_table
         from repro.service import translator_fingerprint
 
-        assert superinstr_table.TABLE_VERSION.startswith("s29-")
+        blob = repr((sorted(superinstr_table.PAIRS),
+                     sorted(superinstr_table.TRIPLES))).encode()
+        assert superinstr_table.TABLE_VERSION == \
+            "s29-" + hashlib.sha1(blob).hexdigest()[:10]
         reg = module_registry()
         mods = [reg["cminus"], reg["tuples"]]
         a = translator_fingerprint(mods, None, 1)

@@ -35,15 +35,14 @@ int main() {
 
 
 def run_one(engine, src, exts, inputs=None, outputs=None, nthreads=None,
-            options=None, fork_mode="enhanced"):
+            options=None):
     """Run on one engine; returns (rc, trap, stats_tuple, stdout, outputs)."""
     trap = None
     rc, outs, st, ex = None, {}, None, None
     try:
         rc, outs, st, ex = run_program(
             src, list(exts), inputs, output_names=outputs,
-            nthreads=nthreads, options=options, engine=engine,
-            fork_mode=fork_mode)
+            nthreads=nthreads, options=options, engine=engine)
     except RuntimeTrap as t:
         trap = str(t)
     stats = None
@@ -174,11 +173,9 @@ class TestParallelIdentity:
     stdout order, bit-identical outputs, and the full merged stats tuple
     including region sizes and task counts."""
 
-    def vm_pair(self, src, exts, inputs=None, outputs=None,
-                fork_mode="enhanced"):
+    def vm_pair(self, src, exts, inputs=None, outputs=None):
         seq = run_one("vm", src, exts, inputs, outputs, nthreads=1)
-        par = run_one("vm", src, exts, inputs, outputs, nthreads=4,
-                      fork_mode=fork_mode)
+        par = run_one("vm", src, exts, inputs, outputs, nthreads=4)
         return seq, par
 
     def test_fig1_identical_at_4_workers(self):
@@ -239,16 +236,6 @@ class TestParallelIdentity:
         seq, par = self.vm_pair(CILK_FIB, ("cilk",))
         assert_identical(seq, par, "cilk-par")
         assert seq[2][4] == par[2][4] > 100
-
-    def test_naive_fork_mode_identical(self):
-        # The spawn-per-construct comparison model must also be exact —
-        # it reuses the same shard jobs, only the dispatch differs.
-        cube = np.random.default_rng(29).normal(
-            0, 1, (6, 4, 17)).astype(np.float32)
-        seq, par = self.vm_pair(load("fig1"), ("matrix",),
-                                {"ssh.data": cube}, ["means.data"],
-                                fork_mode="naive")
-        assert_identical(seq, par, "fig1-naive")
 
 
 class TestTrapsAndEdgeCases:

@@ -68,8 +68,6 @@ class TestGoldenDump:
                 f"\n{diff}")
         assert " si " in got.replace("  ", " "), \
             "golden input no longer fuses any superinstruction"
-        assert "~q" in got, \
-            "golden input no longer has a quickening candidate"
 
     def test_disasm_O0_shows_raw_bytecode(self, capsys):
         rc = main(["disasm", str(HERE / "golden_input.xc"), "-O0"])
