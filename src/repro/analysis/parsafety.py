@@ -161,9 +161,8 @@ class ParallelSafety:
             return True
         # S30: a trap-blocked task becomes eligible when the race
         # analysis proves every spawn-site access in bounds and
-        # disjoint from all concurrent work.  Under
-        # REPRO_NO_RACE_CHECK the analysis returns None and the S25
-        # decision stands bit-for-bit.
+        # disjoint from all concurrent work.  If the analysis failed
+        # it returns None and the S25 decision stands bit-for-bit.
         from repro.analysis.races import race_analysis_for
         ra = race_analysis_for(self.program)
         return ra is not None and ra.race_cleared(name)

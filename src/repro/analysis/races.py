@@ -36,10 +36,10 @@ chunks ``[lo, hi)`` and ``[lo', hi')`` of the region are compared with
 the chunk bounds held symbolic.  The mixed-radix argument (the chunk
 axis stride covers the value span of every inner axis, spans bounded
 by the caller's dominating ``rt_bounds_check`` facts) certifies the
-writes disjoint; the certificate is surfaced in the VM's bail ledger.
+writes disjoint; ``reproc check --races`` prints the certificates.
 
-``REPRO_NO_RACE_CHECK=1`` disables the whole pass: clearance returns
-nothing and every eligibility decision is bit-for-bit what S29 made.
+If the analysis itself fails, clearance returns nothing and every
+eligibility decision is bit-for-bit what S29 made.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from repro.analysis.access import READ, WRITE, Access, Summaries, subst_poly
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.hazards import H_TRAP, TASK_BLOCKERS
 from repro.ir.affine import Poly
-from repro.util import env_flag
 
 #: Trap evidence compatible with clearance: traps made impossible by
 #: the in-bounds proof (element accesses and their fused-loop
@@ -62,10 +61,6 @@ _BENIGN_TRAPS = frozenset({
     "dimension query may trap (axis out of range)",
     "fused numpy loop may trap on its scalar fallback",
 })
-
-
-def race_check_disabled() -> bool:
-    return env_flag("REPRO_NO_RACE_CHECK")
 
 
 @dataclass(frozen=True)
@@ -513,10 +508,9 @@ def analyze_races(program) -> RaceAnalysis:
 
 
 def race_analysis_for(program) -> RaceAnalysis | None:
-    """Best-effort, env-gated entry point shared by the VM eligibility
-    gate and the diagnostics report (memoized on the program)."""
-    if race_check_disabled():
-        return None
+    """Best-effort entry point shared by the VM eligibility gate and the
+    diagnostics report (memoized on the program); None when the
+    analysis failed."""
     cached = getattr(program, "_race_analysis", False)
     if cached is not False:
         return cached

@@ -32,9 +32,9 @@ class AnalysisReport:
     diagnostics: tuple[Diagnostic, ...]       # source-ordered
     parallel: tuple[ParallelVerdict, ...]     # one per parallel construct
     functions: int                            # CFGs analyzed
-    # S30 race analysis, or None when REPRO_NO_RACE_CHECK disabled it.
-    # Rendered only under ``--races``/``--json`` so the S25 golden
-    # output is byte-identical either way.
+    # S30 race analysis, or None when it failed.  Rendered only under
+    # ``--races``/``--json`` so the S25 golden output is byte-identical
+    # either way.
     races: object = None
 
     @property
@@ -58,9 +58,10 @@ class AnalysisReport:
     def summary(self, *, races: bool = False) -> str:
         e, w = self.error_count, self.warning_count
         r = self.race_count if races else 0
-        if not e and not w and not r:
+        failed = races and self.races is None
+        if not e and not w and not r and not failed:
             return f"{self.filename}: no issues"
-        parts = []
+        parts = ["race analysis failed"] if failed else []
         if e:
             parts.append(f"{e} error" + ("s" if e != 1 else ""))
         if w:
@@ -85,7 +86,7 @@ class AnalysisReport:
     def _race_lines(self) -> list[str]:
         ra = self.races
         if ra is None:
-            return ["races: analysis disabled (REPRO_NO_RACE_CHECK)"]
+            return ["races: analysis failed"]
         out: list[str] = []
         for f in ra.findings:
             out.extend(f.lines())

@@ -547,10 +547,6 @@ def _discharged_guards(name: str, params: list[str], body: Node,
     :func:`repro.analysis.shapes.check_shapes`; without one the fixpoint
     is solved here.  Best-effort: any analysis failure keeps every
     guard."""
-    from repro.util import env_flag
-
-    if env_flag("REPRO_NO_GUARD_ELIDE"):
-        return frozenset()
     if proven is not None:
         return proven
     try:
@@ -672,9 +668,8 @@ class BytecodeProgram:
 
     def _specialize(self, code: Code) -> Code:
         from repro.cexec import superinstr
-        from repro.cexec.superinstr_table import PAIRS, TRIPLES
 
-        out, fused = superinstr.fuse(code, PAIRS, TRIPLES)
+        out, fused = superinstr.fuse(code)
         if fused:
             self.opt_counts["superinstr"] = \
                 self.opt_counts.get("superinstr", 0) + fused

@@ -73,14 +73,6 @@ class InterpStats:
     # ran sequentially instead of on the worker pool.
     fastloop_bails: dict[str, int] = field(default_factory=dict)
     shard_bails: dict[str, int] = field(default_factory=dict)
-    # S30 shard disjointness certificates, region name -> one-line
-    # verdict ("proven: ..." / "not proven: ...").  Compile-time facts
-    # recorded when the region first runs; absent entirely under
-    # REPRO_NO_RACE_CHECK.  NOT part of the engine-differential
-    # contract (the tree walker does not consult the race analysis).
-    # Merged first-wins: every shard records the same verdict.
-    certs: dict[str, str] = field(default_factory=dict,
-                                  metadata={"merge": "first"})
     # Dynamic VM instructions retired (only populated when the VM runs
     # in counting mode, e.g. under the E-IR benchmark); NOT part of the
     # engine-differential contract — O0 and O2 legitimately differ here.
@@ -116,22 +108,17 @@ class InterpStats:
         Used by the S23 fork-join pool to combine per-worker/per-task
         counters into the parent: counts add, lists (``region_sizes``)
         extend in shard order, count dicts add per key — so a pooled run's
-        merged stats are identical to the sequential run's.  A field's
-        ``merge`` metadata overrides this: ``"first"`` keeps the first
-        value per key, ``"skip"`` leaves the field alone."""
+        merged stats are identical to the sequential run's.  A field
+        whose ``merge`` metadata is ``"skip"`` is left alone."""
         for f in fields(self):
-            how = f.metadata.get("merge")
-            if how == "skip":
+            if f.metadata.get("merge") == "skip":
                 continue
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             if isinstance(mine, list):
                 mine.extend(theirs)
             elif isinstance(mine, dict):
                 for k, v in theirs.items():
-                    if how == "first":
-                        mine.setdefault(k, v)
-                    else:
-                        mine[k] = mine.get(k, 0) + v
+                    mine[k] = mine.get(k, 0) + v
             else:
                 setattr(self, f.name, mine + theirs)
         return self

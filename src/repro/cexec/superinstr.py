@@ -1,18 +1,17 @@
 """Superinstructions for the bytecode VM (S29).
 
 The S28 optimizer shrinks the dynamic instruction *stream*; this module
-shrinks the number of *dispatches* the stream costs.  A fixed table of
-hot adjacent opcode shapes (``superinstr_table``, selected once from
-opcode-pair/triple histograms over the shipped fig1/4/8/9 + mandelbrot
-programs) drives :func:`fuse`, which rewrites each compiled
-:class:`Code` as a peephole pass **after** the IR pipeline, replacing
-every table-selected adjacent group with one ``("si", parts, dead)``
-pseudo-instruction.  The VM binds an ``si`` to a *single* closure,
-generated and compiled once per distinct shape from straight-line
-Python source, so one dispatch retires two or three constituent
-instructions — and when a constituent's
-destination slot is provably read only inside the group, its frame-slot
-write is skipped entirely and the value flows through a Python local.
+shrinks the number of *dispatches* the stream costs.  :func:`fuse`
+rewrites each compiled :class:`Code` as a peephole pass **after** the
+IR pipeline, replacing every run of adjacent fusable instructions with
+one ``("si", parts, dead)`` pseudo-instruction.  A run opens at any
+``MID_OPS`` instruction and extends over ``TAIL_OPS`` instructions that
+are not jump targets, up to ``MAX_GROUP`` constituents.  The VM binds
+an ``si`` to a *single* closure, generated and compiled once per
+distinct shape from straight-line Python source, so one dispatch
+retires the whole run — and when a constituent's destination slot is
+provably read only inside the group, its frame-slot write is skipped
+entirely and the value flows through a Python local.
 
 Soundness notes
 ---------------
@@ -26,20 +25,21 @@ Soundness notes
   conditional branch may sit anywhere, compiling to an early ``return``
   out of the closure, so the taken path still costs exactly one dispatch
   while the fall-through path keeps retiring constituents.  Trapping
-  constituents (division, matrix access) are fine in any position — a
-  trap aborts the whole frame, so a partially-executed group is
-  indistinguishable from a partially-executed unfused sequence.
-* ``call`` and division/modulo never open or extend a group: the
-  shipped table was selected with them excluded, and these rules keep
-  fusion exactly as it was measured.
+  constituents (matrix access, dimension queries) are fine in any
+  position — a trap aborts the whole frame, so a partially-executed
+  group is indistinguishable from a partially-executed unfused sequence.
+* ``call``, division and modulo never open or extend a group: a call
+  re-enters the VM, and ``/``/``%`` keep their own closures around the
+  trapping ``c_div``/``c_mod`` helpers.
 """
 
 from __future__ import annotations
 
-from repro.cexec.bytecode import Code
-from repro.cexec.interp import c_div, c_mod
+import math
 
 import numpy as np
+
+from repro.cexec.bytecode import Code
 
 # Opcodes legal in a non-tail position of a group: always fall through,
 # and have a pure-Python statement form `gen_source` knows how to emit.
@@ -113,32 +113,27 @@ def _dest(ins: tuple) -> int | None:
 # -- fusion pass --------------------------------------------------------------
 
 
-# Longest run of constituents one fused closure may retire.  Groups are
-# built by chaining hot table pairs, so the cap only bounds code-object
-# size per shape — semantics are length-independent.
+# Longest run of constituents one fused closure may retire.  The cap
+# only bounds code-object size per shape — semantics are
+# length-independent.
 MAX_GROUP = 12
 
 
-def fuse(code: Code, pairs: frozenset, triples: frozenset) -> tuple[Code, int]:
-    """Rewrite one function's bytecode, fusing table-selected adjacent
-    groups into ``("si", parts, dead)`` pseudo-instructions.  Returns the
-    (possibly new) :class:`Code` and the number of groups formed.
+def fuse(code: Code) -> tuple[Code, int]:
+    """Rewrite one function's bytecode, fusing every run of adjacent
+    fusable instructions into a ``("si", parts, dead)`` pseudo-
+    instruction.  Returns the (possibly new) :class:`Code` and the
+    number of groups formed.
 
-    Selection is a chain rule over the shape tables: a group grows
-    while each consecutive opcode link is a hot pair (links contributed
-    by hot triples count too), every non-final constituent is straight-
-    line, and no constituent after the first is a jump target.  Chaining
-    lets two hot overlapping shapes fuse a whole basic-block run — e.g.
-    the mandelbrot escape body collapses to one dispatch — while cold
-    adjacencies keep their individual closures."""
+    A group opens at a ``MID_OPS`` instruction and grows over
+    ``TAIL_OPS`` instructions that are not jump targets; it closes after
+    the first unconditional transfer, before any other opcode, and at
+    ``MAX_GROUP`` constituents.  A whole basic-block run — e.g. the
+    mandelbrot escape body — thus collapses to one dispatch."""
     instrs = code.instrs
     n = len(instrs)
-    if n < 2 or not (pairs or triples):
+    if n < 2:
         return code, 0
-    links = set(pairs)
-    for t in triples:
-        links.add((t[0], t[1]))
-        links.add((t[1], t[2]))
 
     # Slot read map for the dead-intermediate analysis.  -1 marks a slot
     # as read "somewhere we cannot see": slot 0 (the return value), and
@@ -161,7 +156,7 @@ def fuse(code: Code, pairs: frozenset, triples: frozenset) -> tuple[Code, int]:
             # instruction retires; treat it as observed everywhere.
             reads.setdefault(ins[1], set()).add(-1)
 
-    # Pass 1: choose groups greedily left-to-right by chaining hot links.
+    # Pass 1: choose groups greedily left-to-right.
     groups: list[tuple[int, int]] = []  # (start, length)
     new_of_old: dict[int, int] = {}
     out_len = 0
@@ -171,12 +166,10 @@ def fuse(code: Code, pairs: frozenset, triples: frozenset) -> tuple[Code, int]:
         if instrs[i][0] in MID_OPS:
             while (length < MAX_GROUP and i + length < n
                    and i + length not in targets
-                   and (instrs[i + length - 1][0],
-                        instrs[i + length][0]) in links
                    and instrs[i + length][0] in TAIL_OPS):
                 length += 1
                 # An unconditional transfer closes the group; a mid
-                # jz/jnz becomes an early return and chaining goes on.
+                # jz/jnz becomes an early return and the group goes on.
                 if instrs[i + length - 1][0] not in MID_OPS:
                     break
         new_of_old[i] = out_len
@@ -229,7 +222,8 @@ _FN_CACHE: dict[str, object] = {}
 
 _CMP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==", "!=": "!="}
 
-_GLOBALS = {"c_div": c_div, "c_mod": c_mod, "f32": np.float32}
+# ``repr`` writes a non-finite float constant as ``inf``/``nan``.
+_GLOBALS = {"f32": np.float32, "inf": math.inf, "nan": math.nan}
 
 
 def _gen_expr(ins: tuple, R) -> str:
@@ -345,9 +339,7 @@ def gen_source(parts: tuple, dead: tuple, nxt: int, end: int) -> str:
     if parts[last][0] not in ("jmp", "jz", "jnz", "ret", "ret_none"):
         body.append(f"return {nxt}")
     inner = "\n    ".join(body)
-    helpers = [h for h in ("c_div", "c_mod", "f32")
-               if h + "(" in inner]
-    params = "".join(f", {h}={h}" for h in helpers)
+    params = ", f32=f32" if "f32(" in inner else ""
     return f"def _si(f{params}):\n    {inner}\n"
 
 

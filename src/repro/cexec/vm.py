@@ -93,11 +93,6 @@ class VM(RTRuntime):
         # close() (which drops the pool and its own counters).
         self.process_regions = 0
         self._shm_seq = 0
-        try:
-            t = float(os.environ.get("REPRO_SHARD_TIMEOUT_S", "") or 0.0)
-        except ValueError:
-            t = 0.0
-        self._shard_timeout_s = t if t > 0 else None
         self._closed = False
         # S29 dispatch specialization: superinstruction fusion, bind-time
         # jump threading and arity-specialized intrinsics.
@@ -246,8 +241,7 @@ class VM(RTRuntime):
             try:
                 self._ppool = ProcessShardPool(
                     self.nthreads - 1, self._exec_shard_job,
-                    self._child_after_fork,
-                    timeout_s=self._shard_timeout_s)
+                    self._child_after_fork)
             except Exception:  # pragma: no cover - no fork/shm platform
                 self._backend = "thread"
                 return None
@@ -308,7 +302,6 @@ class VM(RTRuntime):
         ops, nregs = self._lifted_fn(fname)
         self.stats.parallel_regions += 1
         self.stats.region_sizes.append(total)
-        self._record_cert(fname)
         per = -(-total // self.nthreads) if total > 0 else 0
         shards = []
         for t in range(self.nthreads):
@@ -335,22 +328,6 @@ class VM(RTRuntime):
         # pool refusal — same shard boundaries, run in order inline.
         for lo, hi in shards:
             self._run(ops, nregs, captures + [lo, hi])
-
-    def _record_cert(self, fname: str) -> None:
-        """File the S30 shard disjointness certificate for a region in
-        the bail ledger the first time it runs (no-op when the race
-        check is disabled or the region has no pool site)."""
-        if fname in self.stats.certs:
-            return
-        from repro.analysis.races import race_analysis_for
-        ra = race_analysis_for(self.program)
-        if ra is None:
-            return
-        cert = ra.certificates.get(fname)
-        if cert is not None:
-            proven, why = cert
-            self.stats.certs[fname] = \
-                ("proven: " if proven else "not proven: ") + why
 
     def _dispatch_region(self, ops, nregs: int, fname: str, captures: list,
                          shards: list) -> bool:

@@ -284,7 +284,7 @@ def check_main(argv: list[str]) -> int:
                                 races=args.races))
         if report.error_count or (args.werror and report.warning_count):
             failed += 1
-        if args.races and report.race_count:
+        if args.races and (report.race_count or report.races is None):
             failed += 1
     if args.stats:
         print(service.stats().pretty())
@@ -481,8 +481,6 @@ def _print_interp_stats(stats) -> None:
                          ("shard bail", stats.shard_bails)):
         for reason in sorted(bails):
             print(f"{label}: {reason} x{bails[reason]}")
-    for region in sorted(getattr(stats, "certs", ())):
-        print(f"shard cert: {region}: {stats.certs[region]}")
     if stats.instrs:
         print(f"instrs={stats.instrs}")
     if stats.guards_elided:

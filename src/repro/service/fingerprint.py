@@ -113,16 +113,10 @@ def translator_fingerprint(
     nthreads: int,
 ) -> str:
     """Cache key for a fully configured translator."""
-    from repro.cexec.superinstr_table import TABLE_VERSION
-
     lines = [
         f"repro {repro.__version__}",
         _options_line(options or Optimizations()),
         f"nthreads {nthreads}",
-        # Dispatch-specialization selection table (S29): executions
-        # through a cached translator must re-specialize when the
-        # shipped superinstruction table is edited.
-        f"spec {TABLE_VERSION}",
     ]
     for m in modules:
         lines.extend(_module_lines(m))

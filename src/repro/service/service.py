@@ -241,13 +241,10 @@ class CompileService:
 
         The :class:`~repro.analysis.report.AnalysisReport` lands in
         ``response.report``; reports are cached in an LRU keyed by
-        (translator fingerprint, source digest, filename, race-check
-        state) — the translator-cache identity plus the S30 escape
-        hatch, so an edited source, a changed extension set, or a
-        toggled ``REPRO_NO_RACE_CHECK`` misses while repeated checks
-        hit.
+        (translator fingerprint, source digest, filename) — the
+        translator-cache identity, so an edited source or a changed
+        extension set misses while repeated checks hit.
         """
-        from repro.analysis.races import race_check_disabled
         from repro.analysis.report import analyze_result
 
         key = (
@@ -256,9 +253,6 @@ class CompileService:
                 options=request.options, nthreads=request.nthreads),
             hashlib.sha256(request.source.encode()).hexdigest(),
             request.filename,
-            # REPRO_NO_RACE_CHECK changes the report's race payload, so
-            # a daemon serving both settings must not mix the entries.
-            race_check_disabled(),
         )
         with self._analysis_lock:
             cached = self._analysis_cache.get(key)

@@ -1,9 +1,9 @@
 """S30 static race detection: every crafted racy example under
 ``examples/analysis/races/`` is flagged with its witness chain, every
 race-free one is cleared (and becomes task-pool eligible), the
-``--races`` text output matches the committed goldens exactly, and the
-cleared programs stay observationally identical at any worker count —
-with ``REPRO_NO_RACE_CHECK`` restoring the pre-S30 decisions."""
+``--races`` text output matches the committed goldens exactly, the
+cleared programs stay observationally identical at any worker count,
+and a failed analysis fails ``reproc check --races``."""
 
 from __future__ import annotations
 
@@ -86,20 +86,27 @@ def test_racy_findings_carry_witness_chains(path):
     assert "spawned at" in text and "conflicting access at" in text
 
 
-def test_escape_hatch_restores_pre_race_decisions(monkeypatch):
-    # Under REPRO_NO_RACE_CHECK the analysis returns None and the
-    # effect-hazard verdict stands: 'fill' writes a shared matrix, so
-    # it is task-blocked exactly as before S30.
-    path = RACES / "disjoint_halves.xc"
-    result, _ = compiled(path)
-    program = BytecodeProgram(result.lowered, result.ctx)
-    assert program.task_parallel_safe("fill")
+def test_failed_analysis_fails_races_check(monkeypatch, capsys):
+    # A crash inside the analysis must read as a failure, never as a
+    # clean report; the S25 task verdict stands meanwhile.
+    from repro.analysis import races
+    from repro.cli import main
 
-    monkeypatch.setenv("REPRO_NO_RACE_CHECK", "1")
-    result2, _ = compiled(path)
-    program2 = BytecodeProgram(result2.lowered, result2.ctx)
-    assert race_analysis_for(program2) is None
-    assert not program2.task_parallel_safe("fill")
+    def crash(program):
+        raise RuntimeError("injected analysis failure")
+
+    monkeypatch.setattr(races, "analyze_races", crash)
+    path = RACES / "racy_overlap.xc"
+    rc = main(["check", str(path), "-x", ",".join(EXTS), "--races"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "races: analysis failed" in out
+    assert "no issues" not in out
+
+    result, _ = compiled(RACES / "disjoint_halves.xc")
+    program = BytecodeProgram(result.lowered, result.ctx)
+    assert race_analysis_for(program) is None
+    assert not program.task_parallel_safe("fill")
 
 
 @pytest.mark.parametrize(

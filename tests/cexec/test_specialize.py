@@ -10,8 +10,6 @@ must report the same dynamic instruction totals with specialization on
 as with it off (a counting VM always executes the generic stream).
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -80,13 +78,37 @@ int fib(int n) {
 int main() { printInt(fib(15)); return 0; }
 """, ["matrix"], {}, [])
 
+# Non-finite float constants: 1e39 narrows to float32 inf, and the IR
+# folds ``big - big`` to nan.  Each constant lands in a fused group.
+INF = ("inf", """
+int main() {
+    Matrix float <1> m = init(Matrix float <1>, 4);
+    int n = dimSize(m, 0);
+    float big = 1e39;
+    printInt(n);
+    printFloat(big * n);
+    return 0;
+}
+""", ["matrix"], {}, [])
+NAN = ("nan", """
+int main() {
+    Matrix float <1> m = init(Matrix float <1>, 4);
+    int n = dimSize(m, 0);
+    float big = 1e39;
+    float z = big - big;
+    printInt(n);
+    printFloat(z * n);
+    return 0;
+}
+""", ["matrix"], {}, [])
+
 
 class TestCorpusIdentity:
     """Specialized VM vs unspecialized VM vs tree walker: the full
-    corpus plus a recursion-heavy program."""
+    corpus plus recursion-heavy and non-finite-constant programs."""
 
     @pytest.mark.parametrize(
-        "case", corpus_cases() + [FIB], ids=lambda c: c[0])
+        "case", corpus_cases() + [FIB, INF, NAN], ids=lambda c: c[0])
     def test_corpus_bit_identity(self, case, monkeypatch):
         name, src, exts, inputs, outs = case
         monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
@@ -136,23 +158,22 @@ def _mk_vm(src="int main() { return 0; }"):
 
 
 class TestFusion:
-    """Unit coverage of the chain-rule fuser on hand-built Code."""
+    """Unit coverage of the fusion rule on hand-built Code."""
 
     def test_jump_target_never_mid_group(self):
-        # pc 2 is a jmp target: the (move,move) chain may not swallow it.
+        # pc 2 is a jmp target: the run from pc 0 may not swallow it.
         code = Code("f", [], 4, [
             ("move", 1, 0),
             ("move", 2, 1),
             ("move", 3, 2),
             ("jmp", 2),
         ])
-        fused, n = superinstr.fuse(code, {("move", "move")}, set())
-        assert n == 1
-        ops = [i[0] for i in fused.instrs]
-        assert ops == ["si", "move", "jmp"]
+        fused, n = superinstr.fuse(code)
+        assert n == 2
+        assert [i[0] for i in fused.instrs] == ["si", "si"]
         assert len(fused.instrs[0][1]) == 2  # pcs 0-1 only
         # the jmp was remapped to the group that *starts* at old pc 2
-        assert fused.instrs[2] == ("jmp", 1)
+        assert fused.instrs[1][1][-1] == ("jmp", 1)
 
     def test_group_may_start_at_jump_target(self):
         code = Code("f", [], 4, [
@@ -161,22 +182,24 @@ class TestFusion:
             ("move", 2, 1),
             ("ret", 2),
         ])
-        fused, n = superinstr.fuse(code, {("move", "move")}, set())
+        fused, n = superinstr.fuse(code)
         assert n == 1
         assert fused.instrs[0] == ("jmp", 1)
         assert fused.instrs[1][0] == "si"
+        assert len(fused.instrs[1][1]) == 3
 
     def test_dead_intermediate_marked(self):
         # slot 1 is only read by the next constituent: elidable.
         code = Code("f", [], 3, [
             ("const", 1, 5),
             ("move", 2, 1),
+            ("jmp", 3),
             ("ret", 2),
         ])
-        fused, n = superinstr.fuse(code, {("const", "move")}, set())
+        fused, n = superinstr.fuse(code)
         assert n == 1
         si = fused.instrs[0]
-        assert si[0] == "si"
+        assert si[0] == "si" and len(si[1]) == 3
         dead = si[2]
         assert dead[0] is True      # const's write to slot 1 elided
         assert dead[1] is False     # slot 2 is read by the ret outside
@@ -186,10 +209,12 @@ class TestFusion:
         code = Code("f", [], 3, [
             ("const", 1, 5),
             ("move", 2, 1),
+            ("jmp", 3),
             ("move", 2, 1),
             ("ret", 2),
         ])
-        fused, _ = superinstr.fuse(code, {("const", "move")}, set())
+        fused, n = superinstr.fuse(code)
+        assert n == 2
         si = fused.instrs[0]
         assert si[0] == "si" and si[2][0] is False
 
@@ -204,10 +229,9 @@ class TestFusion:
             ("ret", 2),
             ("ret", 1),
         ])
-        fused, n = superinstr.fuse(
-            code, {("const", "jz"), ("jz", "const"), ("const", "+"),
-                   ("+", "ret")}, set())
+        fused, n = superinstr.fuse(code)
         assert n == 1 and fused.instrs[0][0] == "si"
+        assert len(fused.instrs[0][1]) == 5
         vm = _mk_vm()
         for arg in (0, 1, 7):
             got = vm._run(bind(fused, vm), fused.nregs, [arg])
@@ -233,8 +257,7 @@ class TestFusion:
             ("move", 0, 3),
             ("ret", 0),
         ])
-        fused, n = superinstr.fuse(
-            code, {("const", "rt_geti"), ("rt_geti", "move")}, set())
+        fused, n = superinstr.fuse(code)
         assert n == 1
         mat = vm.rt_alloci(1, 4, 0, 0, 0)
         errs = []
@@ -243,6 +266,19 @@ class TestFusion:
                 vm._run(bind(c, vm), c.nregs, [mat])
             errs.append(str(ei.value))
         assert errs[0] == errs[1]
+
+    def test_group_capped_at_max_group(self):
+        """A long straight run splits into MAX_GROUP-sized groups and
+        still computes what the unfused stream computes."""
+        cap = superinstr.MAX_GROUP
+        code = Code("f", [], 2, [("const", 1, 1)]
+                    + [("+", 1, 1, 1)] * (2 * cap) + [("ret", 1)])
+        fused, n = superinstr.fuse(code)
+        assert n == 3
+        assert [len(i[1]) for i in fused.instrs] == [cap, cap, 2]
+        vm = _mk_vm()
+        got = vm._run(bind(fused, vm), fused.nregs, [])
+        assert got == vm._run(bind(code, vm), code.nregs, []) == 2 ** (2 * cap)
 
 
 class TestJumpThreading:
@@ -301,33 +337,3 @@ class TestGuardElision:
             run_program(src, ["matrix"], {}, output_names=["a.data"],
                         nthreads=1, options=Optimizations(opt_level=2))
 
-    def test_escape_hatch_keeps_guard(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_GUARD_ELIDE", "1")
-        rc, outs, st, _ = run_program(
-            self.PROVABLE, ["matrix"], {}, output_names=["a.data"],
-            nthreads=1, options=Optimizations(opt_level=2))
-        assert rc == 0 and st.guards_elided == 0
-        assert np.all(outs["a.data"] == np.float32(2.0))
-
-
-class TestProfileAndTable:
-    """The profile-selected superinstruction table."""
-
-    def test_table_version_pins_fingerprint(self, monkeypatch):
-        """Editing the shipped selection table must invalidate the
-        in-memory translator cache: the version is the content hash."""
-        from repro.api import module_registry
-        from repro.cexec import superinstr_table
-        from repro.service import translator_fingerprint
-
-        blob = repr((sorted(superinstr_table.PAIRS),
-                     sorted(superinstr_table.TRIPLES))).encode()
-        assert superinstr_table.TABLE_VERSION == \
-            "s29-" + hashlib.sha1(blob).hexdigest()[:10]
-        reg = module_registry()
-        mods = [reg["cminus"], reg["tuples"]]
-        a = translator_fingerprint(mods, None, 1)
-        monkeypatch.setattr(superinstr_table, "TABLE_VERSION",
-                            "s29-0000000000")
-        b = translator_fingerprint(mods, None, 1)
-        assert a != b

@@ -172,20 +172,12 @@ class TestSeededGuards:
             program.spec_code_for(fname)
         assert program.opt_counts and not fallbacks
 
-    def _guards_elided(self, service, tmp_path) -> int:
+    def test_seeded_guards_are_elided(self, service, tmp_path):
         resp = service.check(CompileRequest(PROVABLE))
         assert resp.ok and resp.report.ok
         executor = resp.result.make_engine(workdir=tmp_path, nthreads=1)
         try:
             assert executor.run_main() == 0
-            return executor.stats.guards_elided
+            assert executor.stats.guards_elided >= 1
         finally:
             executor.close()
-
-    def test_seeded_guards_are_elided(self, service, tmp_path):
-        assert self._guards_elided(service, tmp_path) >= 1
-
-    def test_escape_hatch_disables_seeded_elision(self, service, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_NO_GUARD_ELIDE", "1")
-        assert self._guards_elided(service, tmp_path) == 0

@@ -1,8 +1,10 @@
-"""Boolean ``REPRO_*`` switches: unset, empty and ``0`` mean off, any
-other value means on.  Every switch is read through
-:func:`repro.util.env_flag`; each one is checked here at ``=0`` (the
-mode stays off) and ``=1`` (the mode turns on)."""
+"""``REPRO_*`` switches.  A census pins the full set the package reads.
+Boolean switches: unset, empty and ``0`` mean off, any other value means
+on.  Every boolean switch is read through :func:`repro.util.env_flag`;
+each one is checked here at ``=0`` (the mode stays off) and ``=1`` (the
+mode turns on)."""
 
+import ast
 from collections import defaultdict
 from pathlib import Path
 
@@ -79,35 +81,45 @@ def test_ir_strict(monkeypatch, value, on):
     assert bool(calls) is on
 
 
-GUARDED = """
-int main() {
-    int n = 9;
-    Matrix float <1> a = with ([0] <= [i] < [n]) genarray([n], 2.0);
-    writeMatrix("a.data", a);
-    return 0;
-}
-"""
-
-
-@pytest.mark.parametrize("value, on", OFF_ON)
-def test_no_guard_elide(monkeypatch, value, on):
-    monkeypatch.setenv("REPRO_NO_GUARD_ELIDE", value)
-    rc, _outs, st, _ex = run_program(GUARDED, ["matrix"], nthreads=1)
-    assert rc == 0
-    assert (st.guards_elided == 0) is on
-
-
-@pytest.mark.parametrize("value, on", OFF_ON)
-def test_no_race_check(monkeypatch, value, on):
-    """On, the race analysis is skipped and the effect-hazard verdict
-    keeps the matrix-writing task ``fill`` off the task pool."""
-    monkeypatch.setenv("REPRO_NO_RACE_CHECK", value)
-    src = (ROOT / "examples/analysis/races/disjoint_halves.xc").read_text()
-    prog = BytecodeProgram(*_lowered(src, ["matrix", "cilk"]))
-    assert prog.task_parallel_safe("fill") is not on
-
-
-def _lowered(src: str, exts=("matrix",)) -> tuple:
-    cr = compile_source(src, list(exts))
+def _lowered(src: str) -> tuple:
+    cr = compile_source(src, ["matrix"])
     assert cr.ok, cr.errors
     return cr.lowered, cr.ctx
+
+
+#: Every ``REPRO_*`` name the package reads; a new switch is a design
+#: decision and has to be added here.
+SWITCHES = {"REPRO_THREADS", "REPRO_PARALLEL_BACKEND", "REPRO_CACHE_DIR",
+            "REPRO_COUNT_INSTRS", "REPRO_NO_QUICKEN", "REPRO_IR_STRICT"}
+
+
+def _is_environ(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def _env_reads(tree: ast.AST) -> set[str]:
+    """``REPRO_*`` names read through ``env_flag(...)``,
+    ``os.environ.get(...)`` or ``os.environ[...]``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "env_flag"
+                or isinstance(node.func, ast.Attribute)
+                and _is_environ(node.func.value)):
+            key = node.args[0] if node.args else None
+        elif isinstance(node, ast.Subscript) and _is_environ(node.value):
+            key = node.slice
+        else:
+            continue
+        if isinstance(key, ast.Constant) and str(key.value).startswith(
+                "REPRO_"):
+            names.add(key.value)
+    return names
+
+
+def test_switch_census():
+    found = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        found |= _env_reads(ast.parse(path.read_text(), str(path)))
+    assert found == SWITCHES
