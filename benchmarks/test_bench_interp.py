@@ -16,6 +16,11 @@ Two gates:
   inside numpy fastloop plans the optimizer cannot speed up, so they
   are measured for the record but excluded from the wall gate.
 
+E-XO (S22/S27): the ``fastloop`` trip-count crossover.  Each plan shape
+fig8 runs is timed with its plan forced on and forced off; the scalar
+loop must win at ``MIN_TRIP // 4`` iterations and the plan at
+``8 * MIN_TRIP``, with identical outputs.
+
 All timings land in ``BENCH_interp.json`` at the repo root, one record
 per experiment, so later PRs can track the trajectory.
 
@@ -31,6 +36,7 @@ import json
 import math
 import os
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -359,6 +365,97 @@ class TestDispatchSpecialization:
         assert gm >= self.WALL_GATE, \
             f"specialization only {gm:.2f}x over generic VM " \
             f"(gate {self.WALL_GATE}x)"
+
+
+# E-XO: the four plan shapes fig8 runs, each executed 400 times by the
+# loop in _XO_MAIN (n is the length of a and b).
+_XO_SHAPES = {
+    "fold a[i]-b[i]":
+        "s = s + with ([0] <= [i] < [n]) fold(+, 0.0, a[i] - b[i]);",
+    "genarray (0::n-1)*m+s": """
+        Matrix float <1> line = (0 :: n - 1) * m + s;
+        s = line[n - 1] - s;""",
+    "slice read a[1:n-1]": """
+        Matrix float <1> t = a[1 : n - 1];
+        s = s + t[0];""",
+    "slice store b[0:n-1]=a": "b[0 : n - 1] = a;",
+}
+
+_XO_MAIN = """
+int main() {{
+    Matrix float <1> a = readMatrix("a.data");
+    Matrix float <1> b = readMatrix("b.data");
+    int n = dimSize(a, 0);
+    float m = 0.5;
+    float s = 0.0;
+    for (int r = 0; r < 400; r = r + 1) {{
+        {shape}
+    }}
+    printFloat(s);
+    writeMatrix("out.data", b);
+    return 0;
+}}
+"""
+
+
+class TestTripCrossover:
+    """E-XO: the ``fastloop`` trip-count crossover (``MIN_TRIP``).  For
+    each plan shape fig8 runs, time its loop with the plan forced on
+    (``MIN_TRIP = 0``) and forced off, interleaved, best of N, at a
+    quarter of ``MIN_TRIP`` and at eight times it.  Gate: the scalar
+    loop wins at the low point, the plan at the high point, and both
+    paths print and write the same bytes."""
+
+    REPEATS = 3 if SMOKE else 7
+
+    def test_crossover_brackets_min_trip(self, tmp_path_factory,
+                                         monkeypatch):
+        from repro.cexec import loopfast
+
+        min_trip = loopfast.MIN_TRIP
+        arms = {"plan": 0, "scalar": sys.maxsize}
+        rows = []
+        for shape, body in _XO_SHAPES.items():
+            cr = compile_source(_XO_MAIN.format(shape=body), ["matrix"])
+            assert cr.ok, cr.diagnostics
+            prog = cr.bytecode()
+            for n in (min_trip // 4, 8 * min_trip):
+                wd = tmp_path_factory.mktemp("exo")
+                rng = np.random.default_rng(n)
+                a = rng.normal(0, 1, n).astype(np.float32)
+                secs = {arm: float("inf") for arm in arms}
+                outs = {}
+                for _ in range(self.REPEATS):
+                    for arm, pinned in arms.items():
+                        write_rmat(wd / "a.data", a)
+                        write_rmat(wd / "b.data", np.zeros(n, np.float32))
+                        monkeypatch.setattr(loopfast, "MIN_TRIP", pinned)
+                        vm = VM(cr.lowered, cr.ctx, workdir=wd, nthreads=1,
+                                program=prog)
+                        t0 = time.perf_counter()
+                        rc = vm.run_main()
+                        secs[arm] = min(secs[arm], time.perf_counter() - t0)
+                        assert rc == 0
+                        assert vm.stats.fastloop_bails == {}, shape
+                        outs[arm] = (list(vm.stdout),
+                                     read_rmat(wd / "out.data").tobytes())
+                        vm.close()
+                assert outs["plan"] == outs["scalar"], f"{shape} n={n}"
+                ratio = secs["scalar"] / secs["plan"]
+                rows.append({"shape": shape, "n": n,
+                             "plan_seconds": round(secs["plan"], 5),
+                             "scalar_seconds": round(secs["scalar"], 5),
+                             "scalar_over_plan": round(ratio, 2)})
+                print(f"\n{shape} n={n}: plan={secs['plan']:.4f}s "
+                      f"scalar={secs['scalar']:.4f}s "
+                      f"(scalar/plan {ratio:.2f})")
+        _record_bench("E-XO", min_trip=min_trip, calls=400,
+                      repeats=self.REPEATS, rows=rows)
+        for row in rows:
+            r = row["scalar_over_plan"]
+            assert r < 1 if row["n"] < min_trip else r > 1, \
+                f"{row['shape']} at n={row['n']}: scalar/plan {r} " \
+                f"(MIN_TRIP {min_trip})"
 
 
 class TestMicro:

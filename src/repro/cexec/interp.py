@@ -68,9 +68,11 @@ class InterpStats:
     tasks_pooled: int = 0
     region_sizes: list[int] = field(default_factory=list)
     # Why the fast paths were NOT taken, reason -> count (S25 satellite):
-    # fastloop_bails counts loop-nest executions that fell back to the
-    # tree-walking interpreter, shard_bails counts with-loop regions that
-    # ran sequentially instead of on the worker pool.
+    # fastloop_bails counts loop-nest executions whose plan refused and
+    # fell back to the scalar bytecode loop compiled behind the
+    # ``fastloop`` instruction (a loop below loopfast.MIN_TRIP never
+    # enters its plan and is not counted), shard_bails counts with-loop
+    # regions that ran sequentially instead of on the worker pool.
     fastloop_bails: dict[str, int] = field(default_factory=dict)
     shard_bails: dict[str, int] = field(default_factory=dict)
     # Dynamic VM instructions retired (only populated when the VM runs

@@ -13,6 +13,16 @@ fancy indexing, stores via fancy-index assignment, reductions via
 left-to-right, unlike the pairwise ``np.sum``) — producing **bit-exact**
 the same float64/float32 results as the scalar loops.
 
+When a plan is entered: the ``fastloop`` instruction first evaluates
+the loop bounds (:meth:`Plan.trip_count`).  A flattened iteration space
+of fewer than :data:`MIN_TRIP` iterations — zero-trip spaces included —
+continues straight into the scalar loop, because a plan's fixed numpy
+cost outweighs a few scalar iterations; that is a choice, not a
+refusal, so neither :meth:`Plan.run` nor the bail ledger sees it.  A
+larger space, or one whose trip count is unknown (a non-integer bound,
+a bound evaluator that raises), enters :meth:`Plan.run`, whose guards
+decide.
+
 Exactness is non-negotiable: the plan's guard + compute phase is *pure*
 (no frame, matrix, or stats mutation) and every doubtful condition —
 non-integer bounds, out-of-range indices, aliasing between a stored and
@@ -66,6 +76,14 @@ from repro.ag.tree import Node
 # Largest total trip count the fast path will materialize arrays for;
 # above this the scalar loop runs (slow but O(1) memory).
 MAX_TRIP = 1 << 24
+
+# Smallest total trip count the ``fastloop`` instruction enters a plan
+# for; shorter loops run the scalar loop behind it.  A plan pays a fixed
+# cost in numpy calls (20-40 us on a 2-vCPU x86_64 VM) against about
+# 1 us per scalar iteration: below 16 the scalar loop wins for every
+# plan shape, from 16 to 32 the two are within a few us.  The E-XO
+# benchmark (benchmarks/test_bench_interp.py) gates both sides.
+MIN_TRIP = 16
 
 # Affine corner magnitudes past this bail instead of risking int64
 # wraparound in the vectorized index arithmetic (the scalar loop
@@ -199,9 +217,20 @@ class Plan:
             c()
         return True
 
-    def _compute(self, frame) -> list:
+    def trip_count(self, frame) -> int | None:
+        """The flattened trip count, or None when it is unknown — a
+        non-integer bound or a bound evaluator that raises — in which
+        case :meth:`run` decides and records why."""
+        try:
+            return self._axes(frame)[1]
+        except Exception:
+            return None
+
+    def _axes(self, frame) -> tuple[list, int]:
+        """``(name, first, step, count)`` per loop, outermost first, and
+        the flattened trip count."""
         rt0 = _Run(frame, {}, 0)
-        axes = []  # (name, first, step, count)
+        axes = []
         n = 1
         for name, start_ev, limit_ev, step, inclusive in self.loops:
             start = start_ev(rt0)
@@ -213,6 +242,10 @@ class Plan:
             count = max(0, (stop - start + step - 1) // step)
             axes.append((name, start, step, count))
             n *= count
+        return axes, n
+
+    def _compute(self, frame) -> list:
+        axes, n = self._axes(frame)
         if n == 0:
             return []  # zero-trip space: nothing to run, nothing to skip
         if n > MAX_TRIP:

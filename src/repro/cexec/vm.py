@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.ag.tree import Node
 from repro.analysis.hazards import PROCESS_BLOCKERS
-from repro.cexec import superinstr
+from repro.cexec import loopfast, superinstr
 from repro.cexec.bytecode import BytecodeProgram, Code
 from repro.cexec.interp import (
     InterpError, InterpStats, RTMat, RTRuntime, c_div, c_mod,
@@ -894,9 +894,16 @@ def _bind_one(ins: tuple, nxt: int, end: int, vm: VM):
             return nxt
     elif op == "fastloop":
         _, plan, skip = ins
-        run = plan.run
+        run, trips = plan.run, plan.trip_count
 
-        def f(frame, run=run, skip=skip, nxt=nxt, vm=vm):
+        def f(frame, run=run, trips=trips, skip=skip, nxt=nxt, vm=vm):
+            # A loop of fewer than MIN_TRIP iterations continues into the
+            # scalar loop behind the plan, which is faster there.  Read
+            # from the module per execution, so a patched value reaches
+            # shard workers too.
+            n = trips(frame)
+            if n is not None and n < loopfast.MIN_TRIP:
+                return nxt
             # vm.stats is a thread-local property: resolve per execution
             # so shard workers record bails into their own buffers.
             return skip if run(frame, vm.stats) else nxt

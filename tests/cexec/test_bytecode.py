@@ -109,6 +109,10 @@ def imat(vals):
 
 @pytest.fixture()
 def fastpath_counter(monkeypatch):
+    """Count plan commits and bails.  The guard tests below build loops
+    of a few iterations, so the trip-count crossover is pinned off:
+    every matched loop enters its plan."""
+    monkeypatch.setattr(loopfast, "MIN_TRIP", 0)
     hits = {"ok": 0, "bail": 0}
     orig = loopfast.Plan.run
 
@@ -676,6 +680,89 @@ class TestWidenedFastLoop:
         reasons = vm_bail_reasons(root, ctx, "f",
                                   [imat([1, 2, 3, 4, 5, 6]), 100])
         assert "non-float accumulator" in reasons
+
+
+class TestTripCrossover:
+    """The ``fastloop`` instruction enters its plan only for a loop of at
+    least ``MIN_TRIP`` iterations; a shorter one runs the scalar loop
+    behind it without touching the plan or the bail ledger.  A loop
+    whose trip count is unknown still reaches the plan's guards."""
+
+    @pytest.fixture()
+    def plan_runs(self, monkeypatch):
+        """(trip count, committed) for every ``Plan.run`` call."""
+        runs = []
+        orig = loopfast.Plan.run
+
+        def run(self, frame, stats=None):
+            n = self.trip_count(frame)
+            ok = orig(self, frame, stats)
+            runs.append((n, ok))
+            return ok
+        monkeypatch.setattr(loopfast.Plan, "run", run)
+        return runs
+
+    def scale_program(self, limit):
+        # m[k] = m[k] * 2 for k < limit
+        body = [N("exprStmt", call(
+            "rt_setf", var("m"), var("k"),
+            N("binop", "*", call("rt_getf", var("m"), var("k")), fl(2.0))))]
+        return program(("f", [("rt_mat*", "m"), ("double", "lim")], slist(
+            for_loop("k", i(0), limit, body))))
+
+    def test_below_min_trip_runs_scalar(self, plan_runs):
+        n = loopfast.MIN_TRIP - 1
+        root, ctx = self.scale_program(call("rt_size", var("m")))
+        code = BytecodeProgram(root, ctx).code_for("f")
+        assert any(ins[0] == "fastloop" for ins in code.instrs)
+        v = both_engines(root, ctx, "f", lambda: [fmat(np.arange(n)), 0.0])
+        assert list(v[2][0]) == [2.0 * k for k in range(n)]
+        assert plan_runs == []
+        assert vm_bail_reasons(root, ctx, "f",
+                               [fmat(np.arange(n)), 0.0]) == {}
+
+    def test_at_min_trip_enters_plan(self, plan_runs):
+        n = loopfast.MIN_TRIP
+        root, ctx = self.scale_program(call("rt_size", var("m")))
+        v = both_engines(root, ctx, "f", lambda: [fmat(np.arange(n)), 0.0])
+        assert list(v[2][0]) == [2.0 * k for k in range(n)]
+        assert plan_runs == [(n, True)]
+
+    def test_float_bound_reaches_plan(self, plan_runs):
+        # k < 3.5: the trip count is unknown, so the plan's guard decides
+        # (and refuses) instead of the crossover.
+        root, ctx = self.scale_program(var("lim"))
+        v = both_engines(root, ctx, "f", lambda: [fmat(np.ones(6)), 3.5])
+        assert list(v[2][0]) == [2, 2, 2, 2, 1, 1]
+        assert plan_runs == [(None, False)]
+        reasons = vm_bail_reasons(root, ctx, "f", [fmat(np.ones(6)), 3.5])
+        assert reasons == {"non-integer loop bounds": 1}
+
+    def test_fig8_plans_cover_min_trip(self, plan_runs, monkeypatch):
+        """fig8 on the e2e benchmark's base cube: every plan it still
+        enters covers at least MIN_TRIP iterations, none bails, and the
+        output matches a run that enters every plan."""
+        from repro.cexec.interp import run_program
+        from repro.eddy import synthetic_ssh
+        from repro.programs import load
+
+        cube = synthetic_ssh((12, 12, 96), n_eddies=3, seed=8).cube
+        min_trip = loopfast.MIN_TRIP
+        outs, runs = [], []
+        for pinned in (min_trip, 0):
+            monkeypatch.setattr(loopfast, "MIN_TRIP", pinned)
+            plan_runs.clear()
+            _rc, files, st, _ex = run_program(
+                load("fig8"), ["matrix"], {"ssh.data": cube},
+                output_names=["temporalScores.data"], nthreads=1,
+                engine="vm")
+            assert st.fastloop_bails == {}
+            outs.append(files["temporalScores.data"].tobytes())
+            runs.append(list(plan_runs))
+        shipped, every = runs
+        assert shipped and all(n >= min_trip and ok for n, ok in shipped)
+        assert len(every) > len(shipped)
+        assert outs[0] == outs[1]
 
 
 class TestSharedProgram:

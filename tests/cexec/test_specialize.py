@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_source
-from repro.cexec import superinstr
+from repro.cexec import loopfast, superinstr
 from repro.cexec.bytecode import Code
 from repro.cexec.interp import RuntimeTrap, run_program
 from repro.cexec.vm import VM, bind
@@ -105,12 +105,20 @@ int main() {
 
 class TestCorpusIdentity:
     """Specialized VM vs unspecialized VM vs tree walker: the full
-    corpus plus recursion-heavy and non-finite-constant programs."""
+    corpus plus recursion-heavy and non-finite-constant programs.  The
+    corpus runs twice: with the shipped ``MIN_TRIP``, where its small
+    inputs keep most loops on the scalar bytecode, and with
+    ``MIN_TRIP = 0`` (``-every-plan``), where every matched loop enters
+    its numpy plan."""
 
-    @pytest.mark.parametrize(
-        "case", corpus_cases() + [FIB, INF, NAN], ids=lambda c: c[0])
-    def test_corpus_bit_identity(self, case, monkeypatch):
+    @pytest.mark.parametrize("case,min_trip", [
+        pytest.param(c, loopfast.MIN_TRIP, id=c[0])
+        for c in corpus_cases() + [FIB, INF, NAN]] + [
+        pytest.param(c, 0, id=f"{c[0]}-every-plan")
+        for c in corpus_cases()])
+    def test_corpus_bit_identity(self, case, min_trip, monkeypatch):
         name, src, exts, inputs, outs = case
+        monkeypatch.setattr(loopfast, "MIN_TRIP", min_trip)
         monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
         tree = run_one(src, exts, inputs, outs, engine="tree")
         generic = run_one(src, exts, inputs, outs, engine="vm")

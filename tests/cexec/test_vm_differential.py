@@ -5,11 +5,17 @@ whole example corpus — and for targeted programs poking the trickier
 VM/fast-path corners — both engines must produce identical return codes,
 stdout, RMAT outputs (bit-for-bit), runtime traps, and InterpStats
 counters (allocs/frees/copies/regions/region sizes/tasks).
+
+The corpus inputs here are small, so with the shipped ``MIN_TRIP`` most
+of their loops run the scalar bytecode behind each ``fastloop``; the
+``...EveryPlan`` classes rerun the corpus classes with ``MIN_TRIP = 0``
+so every matched loop enters its numpy plan too.
 """
 
 import numpy as np
 import pytest
 
+from repro.cexec import loopfast
 from repro.cexec.interp import InterpError, RuntimeTrap, run_program
 from repro.eddy import synthetic_ssh
 from repro.programs import load
@@ -236,6 +242,22 @@ class TestParallelIdentity:
         seq, par = self.vm_pair(CILK_FIB, ("cilk",))
         assert_identical(seq, par, "cilk-par")
         assert seq[2][4] == par[2][4] > 100
+
+
+@pytest.fixture()
+def every_plan(monkeypatch):
+    """No trip-count crossover: every matched loop enters its plan."""
+    monkeypatch.setattr(loopfast, "MIN_TRIP", 0)
+
+
+@pytest.mark.usefixtures("every_plan")
+class TestExampleCorpusEveryPlan(TestExampleCorpus):
+    pass
+
+
+@pytest.mark.usefixtures("every_plan")
+class TestParallelIdentityEveryPlan(TestParallelIdentity):
+    pass
 
 
 class TestTrapsAndEdgeCases:
