@@ -458,6 +458,87 @@ class TestTripCrossover:
                 f"(MIN_TRIP {min_trip})"
 
 
+class TestFoldNest:
+    """E-FN: fold-nest plans.  fig1's lifted body runs as one plan that
+    folds the whole shard in blocks; the other arm declines the nest
+    match (in this test only), so every output element enters its own
+    per-element fold plan, as before fold-nest plans existed.  Both arms
+    run ``seq``, interleaved, best of N, on a small and a large cube.
+    Gate: the nest plan wins on the large cube, and both arms write the
+    same bytes on both."""
+
+    REPEATS = 3 if SMOKE else 7
+    SHAPES = ((8, 8, 32), (64, 64, 256))
+
+    @staticmethod
+    def program(cr, nest: bool):
+        """A fresh fig1 BytecodeProgram, compiled with or without the
+        fold-nest match."""
+        from repro.cexec import loopfast
+        from repro.cexec.bytecode import BytecodeProgram
+
+        prog = BytecodeProgram(cr.lowered, cr.ctx)
+        with pytest.MonkeyPatch.context() as mp:
+            if not nest:
+                mp.setattr(loopfast, "_match_fold_nest", lambda *a: None)
+            for name in prog.functions:
+                prog.spec_code_for(name)
+            for name in prog.lifted_trees:
+                prog.spec_lifted_code_for(name)
+        return prog
+
+    def test_nest_plan_beats_per_element_plans(self, tmp_path_factory,
+                                               monkeypatch):
+        from repro.cexec import loopfast
+
+        cr = compile_source(load("fig1"), ["matrix"])
+        assert cr.ok, cr.diagnostics
+        progs = {"nest": self.program(cr, True),
+                 "element": self.program(cr, False)}
+        entered = []
+        orig = loopfast.Plan.run
+
+        def counted(self, frame, stats=None):
+            entered.append(self.label)
+            return orig(self, frame, stats)
+        monkeypatch.setattr(loopfast.Plan, "run", counted)
+        rows = []
+        for shape in self.SHAPES:
+            wd = tmp_path_factory.mktemp("efn")
+            cube = np.random.default_rng(1).normal(
+                0, 0.4, shape).astype(np.float32)
+            write_rmat(wd / "ssh.data", cube)
+            secs = {arm: float("inf") for arm in progs}
+            outs, plans = {}, {}
+            for _ in range(self.REPEATS):
+                for arm, prog in progs.items():
+                    entered.clear()
+                    vm = VM(cr.lowered, cr.ctx, workdir=wd, nthreads=1,
+                            program=prog)
+                    t0 = time.perf_counter()
+                    rc = vm.run_main()
+                    secs[arm] = min(secs[arm], time.perf_counter() - t0)
+                    assert rc == 0 and vm.stats.fastloop_bails == {}
+                    outs[arm] = read_rmat(wd / "means.data").tobytes()
+                    plans[arm] = len(entered)
+                    vm.close()
+            assert outs["nest"] == outs["element"], f"{shape}"
+            ratio = secs["element"] / secs["nest"]
+            rows.append({"shape": list(shape),
+                         "nest_seconds": round(secs["nest"], 5),
+                         "element_seconds": round(secs["element"], 5),
+                         "element_over_nest": round(ratio, 2),
+                         "plans_entered": plans})
+            print(f"\nfig1 {shape}: nest={secs['nest']:.4f}s "
+                  f"element={secs['element']:.4f}s (element/nest "
+                  f"{ratio:.2f}, plans {plans})")
+        _record_bench("E-FN", fold_block=loopfast.FOLD_BLOCK,
+                      repeats=self.REPEATS, rows=rows)
+        large = rows[-1]
+        assert large["element_over_nest"] > 1, \
+            f"nest plan not faster on {large['shape']}: {large}"
+
+
 class TestMicro:
     """pytest-benchmark timings on the smoke-size workload."""
 

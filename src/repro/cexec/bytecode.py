@@ -89,7 +89,9 @@ class Code:
         for i, ins in enumerate(self.instrs):
             op, *args = ins
             if op == "fastloop":
-                args = [f"<plan:{len(args[0].steps)} steps>", args[1]]
+                plan = args[0]
+                args = [f"<plan {plan.label}: {len(plan.steps)} steps>",
+                        args[1]]
             elif op == "si":
                 # A fused superinstruction: render its constituents (and
                 # which intermediate writes were elided) on one line.

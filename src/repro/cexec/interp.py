@@ -13,8 +13,9 @@ register bytecode and is the default engine; this tree-walker is kept as
 the differential-testing reference.
 
 C semantics are modeled where they differ from Python: integer division
-truncates toward zero, `%` follows C, matrices hold float32, and `&&`/
-`||` short-circuit.
+truncates toward zero (and traps on a zero divisor), float division by
+zero gives IEEE 754 infinities and NaN, `%` follows C, matrices hold
+float32, and `&&`/`||` short-circuit.
 """
 
 from __future__ import annotations
@@ -176,6 +177,11 @@ def c_div(a, b):
             raise RuntimeTrap("integer division by zero")
         q = abs(a) // abs(b)
         return q if (a >= 0) == (b >= 0) else -q
+    if b == 0:
+        # IEEE 754, as in C: the hardware picks the infinity's sign and
+        # the NaN, where Python would raise ZeroDivisionError.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(a) / np.float64(b))
     return a / b
 
 

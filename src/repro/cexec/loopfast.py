@@ -13,6 +13,20 @@ fancy indexing, stores via fancy-index assignment, reductions via
 left-to-right, unlike the pairwise ``np.sum``) — producing **bit-exact**
 the same float64/float32 results as the scalar loops.
 
+A **fold nest** is a rectangular nest whose innermost body declares its
+accumulators, folds into them, and stores once per iteration —
+``declInit*; for (k …) { acc = acc (+|*) E; … }; store+``, with several
+folds allowed one after another.  fig1's lifted with-loop body
+(``means[i,j] = fold(+, 0.0, mat[i,j,k]) / p``) has this shape.  Its
+plan computes every accumulator of the shard as a vector over the
+outer iterations, in blocks of whole outer rows of at most
+:data:`FOLD_BLOCK` fold iterations (``np.cumsum``/``np.cumprod`` along
+a ``(rows, 1 + nk)`` chain that starts at the initial value), then
+evaluates the stores with each accumulator bound to its vector.  The
+declared names belong to the plan, never to the frame, so it writes
+back no slot.  Its trip count is the outer count times the fold
+iterations of one outer iteration.
+
 When a plan is entered: the ``fastloop`` instruction first evaluates
 the loop bounds (:meth:`Plan.trip_count`).  A flattened iteration space
 of fewer than :data:`MIN_TRIP` iterations — zero-trip spaces included —
@@ -26,9 +40,10 @@ decide.
 Exactness is non-negotiable: the plan's guard + compute phase is *pure*
 (no frame, matrix, or stats mutation) and every doubtful condition —
 non-integer bounds, out-of-range indices, aliasing between a stored and
-a loaded matrix, overlapping stores, integer division, a zero float
-divisor, a non-float accumulator, a value an ``int32`` store would trap
-on — makes :meth:`Plan.run` return ``False`` *before anything is
+a loaded matrix (for a fold nest, any fold load from a matrix the nest
+stores to), overlapping stores, integer division, a non-float
+accumulator, a value an ``int32`` store would trap on — makes
+:meth:`Plan.run` return ``False`` *before anything is
 committed*, so the scalar bytecode loop compiled right behind the
 ``fastloop`` instruction reproduces the exact behavior, including traps
 at the correct iteration with the correct partial state.  Only after
@@ -74,7 +89,9 @@ import numpy as np
 from repro.ag.tree import Node
 
 # Largest total trip count the fast path will materialize arrays for;
-# above this the scalar loop runs (slow but O(1) memory).
+# above this the scalar loop runs (slow but O(1) memory).  For a fold
+# nest it caps the outer count, which sizes the only full-length arrays
+# that plan builds, and the length of one fold axis.
 MAX_TRIP = 1 << 24
 
 # Smallest total trip count the ``fastloop`` instruction enters a plan
@@ -84,6 +101,13 @@ MAX_TRIP = 1 << 24
 # plan shape, from 16 to 32 the two are within a few us.  The E-XO
 # benchmark (benchmarks/test_bench_interp.py) gates both sides.
 MIN_TRIP = 16
+
+# Most fold iterations a fold-nest plan materializes at once: its folds
+# run in blocks of whole outer rows up to this many iterations.  On
+# fig1's 128x128x256 cube (2-vCPU x86_64 VM) 64K-iteration blocks ran
+# fastest and kept the peak RSS of per-element plans; whole-shard
+# blocks ran 2.3x slower and tripled it (DESIGN S27, "Fold-nest plans").
+FOLD_BLOCK = 1 << 16
 
 # Affine corner magnitudes past this bail instead of risking int64
 # wraparound in the vectorized index arithmetic (the scalar loop
@@ -170,18 +194,60 @@ def _affine_eval(affine, rt, spans):
     return idx, lo, hi, unique
 
 
+def _count(first, limit, step: int, inclusive: bool) -> int:
+    if not _is_intlike(first) or not _is_intlike(limit):
+        raise _Bail("non-integer loop bounds")
+    stop = int(limit) + 1 if inclusive else int(limit)
+    return max(0, (stop - int(first) + step - 1) // step)
+
+
+class FoldBody:
+    """The innermost body of a fold nest, ``declInit*; for (k …) { acc =
+    acc (+|*) E; … }; store+`` (several folds may follow one another).
+
+    ``prefix`` holds the body's declarations, ``(name, ev)`` in statement
+    order: the accumulators and the locals such as a fold's lower bound.
+    They are never frame slots; the plan binds them by name.  ``folds``
+    holds ``(var, start_ev, limit_ev, step, inclusive, reductions)`` per
+    fold loop, with reductions ``(stmt_i, acc_name, op, ev)``."""
+
+    __slots__ = ("prefix", "folds")
+
+    def __init__(self, prefix: list, folds: list):
+        self.prefix = prefix
+        self.folds = folds
+
+    def axes(self, frame) -> tuple[dict, list]:
+        """The locals by name (each evaluated once: its initializer reads
+        no loop variable, and the nest writes no frame slot) and
+        ``(var, first, step, count, reductions)`` per fold loop."""
+        binds: dict = {}
+        rt = _Run(frame, binds, 1)
+        for name, ev in self.prefix:
+            binds[name] = ev(rt)
+        folds = []
+        for var, start_ev, limit_ev, step, incl, reds in self.folds:
+            first = start_ev(rt)
+            count = _count(first, limit_ev(rt), step, incl)
+            folds.append((var, int(first), step, count, reds))
+        return binds, folds
+
+
 class Plan:
     """A matched loop (nest): evaluator closures plus guarded commits."""
 
-    def __init__(self, loops: list, stores: list, reductions: list):
+    def __init__(self, loops: list, stores: list, reductions: list,
+                 fold: FoldBody | None = None):
         # loops: (var_name, start_ev, limit_ev, step:int, inclusive:bool)
         #        outermost first
         # stores: (stmt_i, kind "f"|"i", mat_slot, idx_ev, val_ev, affine)
         #        affine: None | (const_ev, {var_name: coeff_ev})
         # reductions: (stmt_i, acc_slot, op "+"|"*", ev)
+        # fold: the innermost fold body of a fold nest, else None
         self.loops = loops
         self.stores = stores
         self.reductions = reductions
+        self.fold = fold
         # Frame slots the evaluator closures read / the commits write —
         # the pinning contract the mid-level IR (S28) honors around the
         # opaque ``fastloop`` instruction.  Filled by try_fast_loop.
@@ -190,7 +256,17 @@ class Plan:
 
     @property
     def steps(self):
-        return self.stores + self.reductions
+        folded = [] if self.fold is None else \
+            [r for *_, reds in self.fold.folds for r in reds]
+        return self.stores + self.reductions + folded
+
+    @property
+    def label(self) -> str:
+        """The loop variables, e.g. ``i,j fold k`` for a fold nest."""
+        text = ",".join(v for v, *_ in self.loops)
+        if self.fold is not None:
+            text += " fold " + ",".join(v for v, *_ in self.fold.folds)
+        return text
 
     def run(self, frame, stats=None) -> bool:
         """Execute the whole loop; True on success, False to fall back.
@@ -218,11 +294,15 @@ class Plan:
         return True
 
     def trip_count(self, frame) -> int | None:
-        """The flattened trip count, or None when it is unknown — a
-        non-integer bound or a bound evaluator that raises — in which
-        case :meth:`run` decides and records why."""
+        """The flattened trip count (for a fold nest, the outer count
+        times the fold iterations of one outer iteration), or None when
+        it is unknown — a non-integer bound or a bound evaluator that
+        raises — in which case :meth:`run` decides and records why."""
         try:
-            return self._axes(frame)[1]
+            n = self._axes(frame)[1]
+            if n and self.fold is not None:
+                n *= sum(f[3] for f in self.fold.axes(frame)[1])
+            return n
         except Exception:
             return None
 
@@ -234,13 +314,8 @@ class Plan:
         n = 1
         for name, start_ev, limit_ev, step, inclusive in self.loops:
             start = start_ev(rt0)
-            limit = limit_ev(rt0)
-            if not _is_intlike(start) or not _is_intlike(limit):
-                raise _Bail("non-integer loop bounds")
-            start, limit = int(start), int(limit)
-            stop = limit + 1 if inclusive else limit
-            count = max(0, (stop - start + step - 1) // step)
-            axes.append((name, start, step, count))
+            count = _count(start, limit_ev(rt0), step, inclusive)
+            axes.append((name, int(start), step, count))
             n *= count
         return axes, n
 
@@ -265,6 +340,10 @@ class Plan:
             ivs[name] = iv
             spans[name] = (first, first + (count - 1) * step, step, count)
             reps_before *= count
+        fold_loads: set[int] = set()
+        if self.fold is not None:
+            binds, fold_loads = _fold_phase(self.fold, frame, ivs, n)
+            ivs = {**ivs, **binds}
         rt = _Run(frame, ivs, n)
         commits: list[Callable[[], None]] = []
 
@@ -342,6 +421,10 @@ class Plan:
                 lambda frame=frame, s=acc_slot, t=total:
                     frame.__setitem__(s, t))
 
+        # The fold phase keeps no load indices (it runs in blocks), so a
+        # fold that loads from any matrix the nest stores to refuses.
+        if not fold_loads.isdisjoint(stored):
+            raise _Bail("load aliases a stored matrix")
         # Aliasing: a load from a stored matrix is safe when it reads
         # exactly the elements some statement writes *and* textually
         # precedes that store (read-then-write per index; all loads
@@ -362,6 +445,60 @@ class Plan:
                     continue
                 raise _Bail("load aliases a stored matrix")
         return commits
+
+
+def _fold_phase(fold: FoldBody, frame, ivs: dict, n: int) -> tuple[dict, set]:
+    """Run every fold of a fold nest over the ``n`` flattened outer
+    iterations (``ivs``).  Returns the bindings the stores evaluate
+    under — the locals as scalars, each accumulator as its f64 vector —
+    and the ids of the matrices the folds load from.
+
+    A fold runs in blocks of whole outer rows of at most
+    :data:`FOLD_BLOCK` iterations (one row when the fold axis alone is
+    longer).  A block's ``(rows, 1 + nk)`` chain holds the initial value
+    in its first column and the folded terms after it, and
+    ``np.cumsum``/``np.cumprod`` along each row accumulates strictly left
+    to right, like the scalar fold.  The first column stays even when it
+    is ``0.0``: the scalar ``0.0 + -0.0`` is ``+0.0``, so a chain that
+    started at the first term would keep a ``-0.0`` the scalar does not.
+    """
+    binds, folds = fold.axes(frame)
+    for *_, reds in folds:
+        for _stmt_i, acc, _op, _ev in reds:
+            if not isinstance(binds[acc], float):
+                raise _Bail("non-float accumulator")
+    loaded: set[int] = set()
+    accs: dict[str, np.ndarray] = {}
+    for var, first, step, nk, reds in folds:
+        if nk > MAX_TRIP:
+            raise _Bail("trip count too large to materialize")
+        for _stmt_i, acc, _op, _ev in reds:
+            accs[acc] = np.full(n, binds[acc])
+        if nk == 0:
+            continue
+        rows = max(1, FOLD_BLOCK // nk)
+        ks = np.tile(np.arange(first, first + nk * step, step,
+                               dtype=np.int64), min(rows, n))
+        for r0 in range(0, n, rows):
+            r1 = min(r0 + rows, n)
+            blk = dict(binds)
+            for name, iv in ivs.items():
+                blk[name] = np.repeat(iv[r0:r1], nk)
+            blk[var] = ks[:(r1 - r0) * nk]
+            rt = _Run(frame, blk, (r1 - r0) * nk)
+            for stmt_i, acc, op, ev in reds:
+                rt.stmt_i = stmt_i
+                e = ev(rt)
+                chain = np.empty((r1 - r0, 1 + nk))
+                chain[:, 0] = binds[acc]
+                chain[:, 1:] = e.reshape(r1 - r0, nk) \
+                    if isinstance(e, np.ndarray) else e
+                scan = np.cumsum if op == "+" else np.cumprod
+                with np.errstate(invalid="ignore", over="ignore"):
+                    accs[acc][r0:r1] = scan(chain, axis=1, out=chain)[:, -1]
+            loaded.update(id(mat) for mat, _idx, _s in rt.loads)
+    binds.update(accs)
+    return binds, loaded
 
 
 # --------------------------------------------------------------------------
@@ -441,12 +578,9 @@ def _build_ev(fc, node, var_names):
                 x, y = a(rt), b(rt)
                 if _is_intlike(x) and _is_intlike(y):
                     raise _Bail("integer division")  # c_div truncation
-                if isinstance(y, np.ndarray):
-                    if np.any(y == 0):
-                        raise _Bail("zero in divisor vector")
-                elif y == 0:
-                    raise _Bail("zero divisor")
-                return _as_f64(x) / _as_f64(y)
+                # IEEE 754 f64 division, zero divisors included (c_div)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return _as_f64(x) / _as_f64(y)
             return div
         if op in ("<", "<=", ">", ">=", "==", "!="):
             import operator
@@ -597,16 +731,14 @@ def _affine_form(fc, node, var_names):
                        is_node=lambda n: isinstance(n, Node))
 
 
-def _match_reduction(fc, e: Node, var_names):
-    """``acc = acc (+|*) E`` / ``acc = E (+|*) acc`` with a non-loop-var
-    scalar accumulator E does not mention.  Returns (acc_name, acc_slot,
-    op, ev) or None."""
+def _match_reduction(e: Node):
+    """``acc = acc (+|*) E`` / ``acc = E (+|*) acc`` where E does not
+    mention the accumulator.  Returns (acc_name, op, E) or None."""
     if e.prod != "assign" or e.children[0].prod != "var":
         return None
     acc = e.children[0].children[0]
     rhs = e.children[1]
-    if acc in var_names or rhs.prod != "binop" \
-            or rhs.children[0] not in ("+", "*"):
+    if rhs.prod != "binop" or rhs.children[0] not in ("+", "*"):
         return None
     op, lhs_n, rhs_n = rhs.children
     if lhs_n.prod == "var" and lhs_n.children[0] == acc:
@@ -617,11 +749,33 @@ def _match_reduction(fc, e: Node, var_names):
         return None
     if _refs_var(other, acc):
         return None
-    slot = fc.lookup(acc)
-    ev = _build_ev(fc, other, var_names)
-    if slot is None or ev is None:
+    return acc, op, other
+
+
+def _match_store(fc, e: Node, stmt_i: int, var_names, affine_vars):
+    """``rt_setf``/``rt_seti(m, idx, val)`` -> a :class:`Plan` store, or
+    None.  ``var_names`` evaluate from the run's bindings; the index is
+    recognized as affine over ``affine_vars`` only when it reads no other
+    bound name."""
+    from repro.cminus.absyn import node_cons_to_list
+
+    if e.prod != "call" or e.children[0] not in ("rt_setf", "rt_seti"):
         return None
-    return acc, slot, op, ev
+    args = node_cons_to_list(e.children[1])
+    if len(args) != 3 or args[0].prod != "var" \
+            or args[0].children[0] in var_names:
+        return None
+    mslot = fc.lookup(args[0].children[0])
+    idx_ev = _build_ev(fc, args[1], var_names)
+    val_ev = _build_ev(fc, args[2], var_names)
+    if mslot is None or idx_ev is None or val_ev is None:
+        return None
+    kind = "f" if e.children[0] == "rt_setf" else "i"
+    affine = None
+    if not any(_refs_var(args[1], v) for v in var_names
+               if v not in affine_vars):
+        affine = _affine_form(fc, args[1], affine_vars)
+    return stmt_i, kind, mslot, idx_ev, val_ev, affine
 
 
 # Bound expressions may be re-evaluated by the scalar loops (limits every
@@ -630,9 +784,11 @@ def _match_reduction(fc, e: Node, var_names):
 # literals, plain variables (checked against accumulators), and
 # rt_size/rt_dim (matrix *shapes* are immutable, only data mutates).
 _LIMIT_PRODS = frozenset(["intLit", "var", "binop", "unop", "castE"])
+# A fold nest's declarations are scalars computed once per plan run.
+_DECL_PRODS = _LIMIT_PRODS | {"floatLit", "boolLit"}
 
 
-def _limit_ok(node: Node) -> bool:
+def _limit_ok(node: Node, prods=_LIMIT_PRODS) -> bool:
     if not isinstance(node, Node):
         return True
     if node.prod == "call":
@@ -640,10 +796,12 @@ def _limit_ok(node: Node) -> bool:
             return False
         from repro.cminus.absyn import node_cons_to_list
 
-        return all(_limit_ok(a) for a in node_cons_to_list(node.children[1]))
-    if node.prod not in _LIMIT_PRODS:
+        return all(_limit_ok(a, prods)
+                   for a in node_cons_to_list(node.children[1]))
+    if node.prod not in prods:
         return False
-    return all(_limit_ok(c) for c in node.children if isinstance(c, Node))
+    return all(_limit_ok(c, prods) for c in node.children
+               if isinstance(c, Node))
 
 
 def _parse_header(node: Node):
@@ -700,6 +858,83 @@ class _SlotRecorder:
         return s
 
 
+def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
+    """Match a rectangular nest's innermost body against ``(declInit*
+    for)+ store+``: declarations, fold loops whose bodies are flat
+    reductions into accumulators declared there, then matrix stores.
+    Returns a :class:`Plan` or None.  Declines when a fold bound reads
+    an outer loop variable, a declaration reads a loop variable, a store
+    reads a fold variable, or an accumulator is read anywhere but in its
+    own fold and the stores.  Each name binds as the scalar body would
+    see it at that statement: a local only after its declaration."""
+    stmts: list[Node] = []
+    _stmt_list(body, stmts)
+    local: list[str] = []          # declared names, in statement order
+    fold_vars: set[str] = set()
+    prefix, folds = [], []
+    no_acc: list[Node] = []        # nodes that must not read accumulators
+    at = 0
+    while at < len(stmts) and stmts[at].prod in ("declInit", "forStmt"):
+        s = stmts[at]
+        if s.prod == "declInit":
+            name, init = s.children[1], s.children[2]
+            if name in outer or name in local or name in fold_vars \
+                    or not _limit_ok(init, _DECL_PRODS) \
+                    or any(_refs_var(init, v) for v in (*outer, *fold_vars)):
+                return None
+            ev = _build_ev(fc, init, tuple(local))
+            if ev is None:
+                return None
+            prefix.append((name, ev))
+            local.append(name)
+            no_acc.append(init)
+        else:
+            hdr = _parse_header(s)
+            if hdr is None:
+                return None
+            var, start, limit, step, incl, fbody = hdr
+            if var in outer or var in local \
+                    or not _limit_ok(start) or not _limit_ok(limit) \
+                    or any(_refs_var(b, v) for b in (start, limit)
+                           for v in outer):
+                return None
+            start_ev = _build_ev(fc, start, tuple(local))
+            limit_ev = _build_ev(fc, limit, tuple(local))
+            fstmts: list[Node] = []
+            if start_ev is None or limit_ev is None \
+                    or not _flatten_body(fbody, fstmts) or not fstmts:
+                return None
+            reds = []
+            for e in fstmts:
+                red = _match_reduction(e)
+                if red is None or red[0] not in local:
+                    return None
+                acc, op, other = red
+                ev = _build_ev(fc, other, (*outer, var, *local))
+                if ev is None:
+                    return None
+                reds.append((at, acc, op, ev))
+                no_acc.append(other)
+            no_acc.extend((start, limit))
+            folds.append((var, start_ev, limit_ev, step, incl, reds))
+            fold_vars.add(var)
+        at += 1
+    stores = []
+    for i in range(at, len(stmts)):
+        s = stmts[i]
+        if s.prod != "exprStmt" or any(_refs_var(s, v) for v in fold_vars):
+            return None
+        store = _match_store(fc, s.children[0], i, (*outer, *local), outer)
+        if store is None:
+            return None
+        stores.append(store)
+    accs = [acc for *_, reds in folds for _i, acc, _op, _ev in reds]
+    if not stores or not folds or len(set(accs)) != len(accs) \
+            or any(_refs_var(n_, acc) for n_ in no_acc for acc in accs):
+        return None
+    return Plan(loops, stores, [], FoldBody(prefix, folds))
+
+
 def try_fast_loop(fc, node: Node) -> Plan | None:
     """Match ``forStmt`` against the vectorizable pattern — a single
     loop or a rectangular nest (up to 3-D); None = no plan (the scalar
@@ -754,33 +989,27 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
 
     stmts: list[Node] = []
     if not _flatten_body(body, stmts) or not stmts:
-        return None
+        plan = _match_fold_nest(fc, loops, var_names, body)
+        if plan is not None:
+            plan.read_slots = frozenset(fc.seen)
+        return plan
     stores, reductions = [], []
     acc_names: list[str] = []
     store_val_nodes: list[Node] = []
     for i, e in enumerate(stmts):
-        if e.prod == "call" and e.children[0] in ("rt_setf", "rt_seti"):
-            from repro.cminus.absyn import node_cons_to_list
-
-            args = node_cons_to_list(e.children[1])
-            if len(args) != 3 or args[0].prod != "var" \
-                    or args[0].children[0] in var_names:
-                return None
-            mslot = fc.lookup(args[0].children[0])
-            idx_ev = _build_ev(fc, args[1], var_names)
-            val_ev = _build_ev(fc, args[2], var_names)
-            if mslot is None or idx_ev is None or val_ev is None:
-                return None
-            kind = "f" if e.children[0] == "rt_setf" else "i"
-            affine = _affine_form(fc, args[1], var_names)
-            stores.append((i, kind, mslot, idx_ev, val_ev, affine))
-            store_val_nodes.append(args[1])
-            store_val_nodes.append(args[2])
+        store = _match_store(fc, e, i, var_names, var_names)
+        if store is not None:
+            stores.append(store)
+            store_val_nodes.append(e)
             continue
-        red = _match_reduction(fc, e, var_names)
-        if red is None:
+        red = _match_reduction(e)
+        if red is None or red[0] in var_names:
             return None
-        acc, slot, op, ev = red
+        acc, op, other = red
+        slot = fc.lookup(acc)
+        ev = _build_ev(fc, other, var_names)
+        if slot is None or ev is None:
+            return None
         reductions.append((i, slot, op, ev))
         acc_names.append(acc)
         store_val_nodes.append(e.children[1])

@@ -36,6 +36,7 @@ Soundness notes
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -222,15 +223,21 @@ _FN_CACHE: dict[str, object] = {}
 
 _CMP = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "==", "!=": "!="}
 
-# ``repr`` writes a non-finite float constant as ``inf``/``nan``.
-_GLOBALS = {"f32": np.float32, "inf": math.inf, "nan": math.nan}
+# ``repr`` writes an infinite float constant as ``inf``.  It would write
+# every NaN as ``nan`` and lose its sign and payload, so a NaN constant
+# is rebuilt from its bits (``f64bits``) instead.
+_GLOBALS = {"f32": np.float32, "inf": math.inf,
+            "f64bits": lambda b: struct.unpack("<d", struct.pack("<Q", b))[0]}
 
 
 def _gen_expr(ins: tuple, R) -> str:
     """The value expression of a dest-producing constituent."""
     op = ins[0]
     if op == "const":
-        return repr(ins[2])
+        v = ins[2]
+        if isinstance(v, float) and math.isnan(v):
+            return f"f64bits({struct.unpack('<Q', struct.pack('<d', v))[0]:#x})"
+        return repr(v)
     if op == "move":
         return R(ins[2])
     if op in ("+", "-", "*"):

@@ -76,7 +76,8 @@ def program(*funcs):
 
 def both_engines(root, ctx, fname, make_args):
     """Run ``fname`` on tree + vm with fresh args; assert identical
-    results (return value, matrix payloads) and return the vm result."""
+    results (return value, bit-identical matrix payloads) and return the
+    vm result."""
     results = []
     for eng in (Interpreter, VM):
         ex = eng(root, ctx)
@@ -93,7 +94,7 @@ def both_engines(root, ctx, fname, make_args):
     assert t[1] == v[1], f"exception {t[1]} vs {v[1]}"
     for ta, va in zip(t[2], v[2]):
         if isinstance(ta, np.ndarray):
-            assert np.array_equal(ta, va, equal_nan=True), "matrix differs"
+            assert ta.tobytes() == va.tobytes(), "matrix differs"
     return v
 
 
@@ -342,18 +343,21 @@ class TestFastLoopRuntime:
         assert v[1] is None
         assert fastpath_counter["ok"] >= 1  # empty commit, scalar skipped
 
-    def test_float_divisor_zero_bails_to_scalar_trap(self, fastpath_counter):
-        # float division by zero: Python scalars raise ZeroDivisionError,
-        # numpy would emit inf — the fast path must hand over to scalar
+    def test_float_divisor_zero_is_ieee(self, fastpath_counter, monkeypatch):
+        # float division by zero follows IEEE 754 as the generated C
+        # does: the scalar VM (shipped MIN_TRIP, 3 iterations) and the
+        # plan (MIN_TRIP = 0) both write inf, with no trap and no bail
         body = [N("exprStmt", call(
             "rt_setf", var("m"), var("k"),
             N("binop", "/", fl(1.0), call("rt_getf", var("m"), var("k")))))]
         root, ctx = program(("f", [("rt_mat*", "m")], slist(
             for_loop("k", i(0), call("rt_size", var("m")), body))))
-        v = both_engines(root, ctx, "f", lambda: [fmat([2.0, 0.0, 4.0])])
-        assert v[1] is not None and v[1][0] == "ZeroDivisionError"
-        assert v[2][0][0] == 0.5  # first iteration landed before the trap
-        assert fastpath_counter["bail"] >= 1
+        for min_trip in (16, 0):
+            monkeypatch.setattr(loopfast, "MIN_TRIP", min_trip)
+            v = both_engines(root, ctx, "f", lambda: [fmat([2.0, 0.0, 4.0])])
+            assert v[1] is None
+            assert list(v[2][0]) == [0.5, np.inf, 0.25]
+        assert fastpath_counter == {"ok": 1, "bail": 0}
 
 
 class TestShardBoundaries:
@@ -763,6 +767,242 @@ class TestTripCrossover:
         assert shipped and all(n >= min_trip and ok for n, ok in shipped)
         assert len(every) > len(shipped)
         assert outs[0] == outs[1]
+
+
+def decl(name, init, ctype="double"):
+    return N("declInit", N("tRaw", ctype), name, init)
+
+
+def fold_step(acc, op, term):
+    return N("exprStmt", N("assign", var(acc), N("binop", op, var(acc), term)))
+
+
+def cube_at(mat, fold_var):
+    """``mat[(i*C + j)*P + fold_var]``, fig1's lowered load."""
+    row = N("binop", "+", N("binop", "*", var("i"), var("C")), var("j"))
+    return call("rt_getf", var(mat), N(
+        "binop", "+", N("binop", "*", row, var("P")), var(fold_var)))
+
+
+def fold_nest_program(body, *, mats=("a",)):
+    """``for i < R { for j < C { body } }`` in ``f(mats..., out, R, C,
+    P)``."""
+    params = [("rt_mat*", m) for m in mats] + [
+        ("rt_mat*", "out"), ("long", "R"), ("long", "C"), ("long", "P")]
+    nest = for_loop("i", i(0), var("R"), [
+        for_loop("j", i(0), var("C"), body)])
+    return program(("f", params, slist(nest)))
+
+
+def store_out(val):
+    ij = N("binop", "+", N("binop", "*", var("i"), var("C")), var("j"))
+    return N("exprStmt", call("rt_setf", var("out"), ij, val))
+
+
+def fig1_body(*, init=fl(0.0), op="+", limit=var("P"), store=None):
+    """fig1's lifted ``__genarray_body``: ``long lo = 0; double acc =
+    init; for (k = lo; k < limit) acc = acc op a[i,j,k]; out[i,j] =
+    store`` (default ``acc / P``)."""
+    return [decl("lo", i(0), "long"), decl("acc", init),
+            for_loop("k", var("lo"), limit,
+                     [fold_step("acc", op, cube_at("a", "k"))]),
+            store_out(store if store is not None
+                      else N("binop", "/", var("acc"), var("P")))]
+
+
+class TestFoldNest:
+    """Fold-nest plans: a rectangular nest whose innermost body is
+    ``declInit*; for (k …) { acc = acc (+|*) E; … }; store+`` runs as one
+    plan that folds every accumulator of the shard in blocks of whole
+    rows.  Every case compares the VM with the tree walker bit for bit
+    at the shipped ``MIN_TRIP``."""
+
+    @pytest.fixture()
+    def plan_calls(self, monkeypatch):
+        """(plan label, committed) for every ``Plan.run`` call."""
+        calls = []
+        orig = loopfast.Plan.run
+
+        def run(self, frame, stats=None):
+            ok = orig(self, frame, stats)
+            calls.append((self.label, ok))
+            return ok
+        monkeypatch.setattr(loopfast.Plan, "run", run)
+        return calls
+
+    @staticmethod
+    def args(cube, *extra):
+        """Fresh ``f`` arguments; the output matrix is 4th from the end."""
+        R, C, P = cube.shape
+        return lambda: [fmat(cube), *[fmat(x) for x in extra],
+                        fmat(np.zeros(R * C)), R, C, P]
+
+    @staticmethod
+    def cube(shape, seed=0):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(0, 1, shape)
+                * 10.0 ** rng.integers(-4, 4, shape)).astype(np.float32)
+
+    def test_fig1_enters_one_plan(self, plan_calls):
+        from repro.cexec.interp import run_program
+        from repro.programs import load
+
+        cube = self.cube((16, 12, 40), seed=3)
+        outs = []
+        for engine in ("tree", "vm"):
+            plan_calls.clear()
+            _rc, files, st, _ex = run_program(
+                load("fig1"), ["matrix"], {"ssh.data": cube},
+                output_names=["means.data"], nthreads=1, engine=engine)
+            outs.append(files["means.data"].tobytes())
+        assert outs[0] == outs[1]
+        assert plan_calls == [("i,j fold k", True)]
+        assert st.fastloop_bails == {}
+
+    def test_fig1_disassembly_names_loop_variables(self):
+        from repro.programs import load
+
+        cr = compile_source(load("fig1"), ["matrix"])
+        bp = BytecodeProgram(cr.lowered, cr.ctx)
+        dis = "\n".join(bp.lifted_code_for(n).dis() for n in bp.lifted_trees)
+        for text in ("<plan i,j fold k: 2 steps>", "<plan j fold k: 2 steps>",
+                     "<plan k: 1 steps>"):
+            assert text in dis
+
+    def test_zero_length_fold_stores_initial_value(self, plan_calls,
+                                                   monkeypatch):
+        root, ctx = fold_nest_program(fig1_body(init=fl(2.5),
+                                                store=var("acc")))
+        cube = np.zeros((4, 5, 0), np.float32)
+        for min_trip in (loopfast.MIN_TRIP, 0):
+            monkeypatch.setattr(loopfast, "MIN_TRIP", min_trip)
+            out = both_engines(root, ctx, "f", self.args(cube))[2][-4]
+            assert np.all(out == 2.5)
+        # the shipped crossover runs the empty folds as scalar code
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_empty_outer_range(self, plan_calls, monkeypatch):
+        root, ctx = fold_nest_program(fig1_body())
+        cube = np.zeros((0, 5, 20), np.float32)
+        for min_trip in (loopfast.MIN_TRIP, 0):
+            monkeypatch.setattr(loopfast, "MIN_TRIP", min_trip)
+            out = both_engines(root, ctx, "f", self.args(cube))[2][-4]
+            assert out.size == 0
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_inf_and_nan_inputs(self, plan_calls):
+        cube = self.cube((4, 5, 20), seed=1)
+        cube[0, 0, 3] = np.inf
+        cube[1, 2, 0] = -np.inf
+        cube[2, 1, 7] = np.nan
+        cube[3, 4, 5], cube[3, 4, 6] = np.inf, -np.inf
+        root, ctx = fold_nest_program(fig1_body())
+        out = both_engines(root, ctx, "f", self.args(cube))[2][-4]
+        out = out.reshape(4, 5)
+        assert out[0, 0] == np.inf and out[1, 2] == -np.inf
+        assert np.isnan(out[2, 1]) and np.isnan(out[3, 4])
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_fold_over_negative_zeros_keeps_initial_column(self, plan_calls):
+        # 0.0 + -0.0 is +0.0: a chain that started at the first term
+        # would store -0.0
+        root, ctx = fold_nest_program(fig1_body(store=var("acc")))
+        cube = np.full((3, 4, 20), -0.0, np.float32)
+        out = both_engines(root, ctx, "f", self.args(cube))[2][-4]
+        assert not np.any(np.signbit(out))
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_product_fold(self, plan_calls):
+        rng = np.random.default_rng(2)
+        cube = rng.normal(1, 0.05, (4, 5, 30)).astype(np.float32)
+        root, ctx = fold_nest_program(fig1_body(init=fl(1.0), op="*",
+                                                store=var("acc")))
+        both_engines(root, ctx, "f", self.args(cube))
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_two_folds_in_one_body(self, plan_calls):
+        # fold k carries two accumulators, fold l a product over b
+        body = [
+            decl("lo", i(0), "long"), decl("s", fl(0.0)), decl("q", fl(0.5)),
+            for_loop("k", var("lo"), var("P"), [
+                fold_step("s", "+", cube_at("a", "k")),
+                fold_step("q", "+", N("binop", "*", cube_at("a", "k"),
+                                      cube_at("a", "k")))]),
+            decl("p", fl(1.0)),
+            for_loop("l", i(0), var("P"),
+                     [fold_step("p", "*", cube_at("b", "l"))]),
+            store_out(N("binop", "-", N("binop", "/", var("s"), var("q")),
+                        var("p")))]
+        root, ctx = fold_nest_program(body, mats=("a", "b"))
+        b = np.random.default_rng(5).normal(1, 0.1, (4, 5, 24))
+        both_engines(root, ctx, "f", self.args(self.cube((4, 5, 24)),
+                                           b.astype(np.float32)))
+        assert plan_calls == [("i,j fold k,l", True)]
+
+    def test_int_accumulator_bails(self, plan_calls):
+        root, ctx = fold_nest_program(fig1_body(init=i(0), store=var("acc")))
+        cube = np.arange(4 * 5 * 20, dtype=np.float32).reshape(4, 5, 20)
+        both_engines(root, ctx, "f", self.args(cube))
+        assert ("i,j fold k", False) in plan_calls
+        reasons = vm_bail_reasons(root, ctx, "f", self.args(cube)())
+        assert "non-float accumulator" in reasons
+
+    def test_fold_loading_the_stored_matrix_bails(self, plan_calls):
+        # the fold reads out[k], which earlier rows have stored to
+        body = fig1_body(init=fl(1.0), store=var("acc"))
+        body[2] = for_loop("k", var("lo"), var("P"), [fold_step(
+            "acc", "+", call("rt_getf", var("out"), var("k")))])
+        root, ctx = fold_nest_program(body)
+        cube = np.ones((4, 5, 20), np.float32)
+        args = self.args(cube)
+        out = both_engines(root, ctx, "f", args)[2][-4]
+        assert list(out[:4]) == [1, 2, 4, 8]
+        assert ("i,j fold k", False) in plan_calls
+        reasons = vm_bail_reasons(root, ctx, "f", args())
+        assert "load aliases a stored matrix" in reasons
+
+    def test_triangular_fold_bound_gets_no_nest_plan(self, plan_calls):
+        # k < i: the i,j nest is not rectangular; inside one row of i
+        # the bound is invariant, so the j loop keeps its own nest plan
+        root, ctx = fold_nest_program(fig1_body(limit=var("i")))
+        code = BytecodeProgram(root, ctx).code_for("f")
+        labels = [ins[1].label for ins in code.instrs if ins[0] == "fastloop"]
+        assert labels == ["j fold k", "k"]
+        both_engines(root, ctx, "f", self.args(self.cube((40, 3, 40))))
+        assert {lb for lb, _ok in plan_calls} == {"j fold k"}
+
+    @pytest.mark.parametrize("block", [3 * 20, 7])
+    def test_blocks_split_rows_and_long_folds(self, plan_calls, monkeypatch,
+                                              block):
+        # 35 outer rows in blocks of 3 rows (the last one short), and a
+        # fold axis of 20 iterations longer than a 7-iteration block
+        monkeypatch.setattr(loopfast, "FOLD_BLOCK", block)
+        root, ctx = fold_nest_program(fig1_body())
+        both_engines(root, ctx, "f", self.args(self.cube((7, 5, 20), seed=9)))
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_fig1_peak_memory_is_blocked(self, tmp_path, monkeypatch):
+        """One ``seq`` fig1 run on a 4 MB cube: the plan folds in blocks,
+        so its traced peak stays under 3x the input (whole-shard chains
+        would need about 15x)."""
+        import tracemalloc
+
+        from repro.cexec.interp import make_engine
+        from repro.cexec.rmat import write_rmat
+        from repro.programs import load
+
+        cube = np.ones((64, 64, 256), np.float32)
+        write_rmat(tmp_path / "ssh.data", cube)
+        monkeypatch.chdir(tmp_path)
+        cr = compile_source(load("fig1"), ["matrix"])
+        ex = make_engine(cr.lowered, cr.ctx, engine="vm", nthreads=1)
+        tracemalloc.start()
+        try:
+            ex.run_main()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * cube.nbytes, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestSharedProgram:

@@ -44,6 +44,13 @@ class TestCDivision:
         assert c_div(1.0, 2) == 0.5
         assert c_div(7, 2.0) == 3.5
 
+    def test_float_division_by_zero_is_ieee(self):
+        assert c_div(1.0, 0) == np.inf
+        assert c_div(-1.0, 0.0) == -np.inf
+        assert c_div(1, -0.0) == -np.inf
+        assert np.isnan(c_div(0.0, 0))
+        assert isinstance(c_div(1.0, 0), float)
+
 
 class TestScope:
     def test_chain_lookup(self):

@@ -87,6 +87,29 @@ def assert_identical(tree, vm, label=""):
             f"{label}: {k} payload differs"
 
 
+# Two folds over the time axis, one of them ``*``, combined after both:
+# the lifted genarray body is a fold nest with two fold loops.
+TWO_FOLDS = """
+int main() {
+    Matrix float <3> mat = readMatrix("ssh.data");
+    int m = dimSize(mat, 0);
+    int n = dimSize(mat, 1);
+    int p = dimSize(mat, 2);
+    Matrix float <2> out = init(Matrix float <2>, m, n);
+    out = with ([0,0] <= [i,j] < [m,n])
+        genarray([m,n],
+            (with ([0] <= [k] < [p]) fold(+, 0.0, mat[i,j,:][k])) / p
+            - (with ([0] <= [k] < [p]) fold(*, 1.0, mat[i,j,:][k])));
+    writeMatrix("out.data", out);
+    return 0;
+}
+"""
+
+
+def two_folds_cube(seed, shape):
+    return np.random.default_rng(seed).normal(1, 0.1, shape).astype(np.float32)
+
+
 class TestExampleCorpus:
     def test_fig1_temporal_mean(self):
         cube = np.random.default_rng(0).normal(
@@ -95,6 +118,12 @@ class TestExampleCorpus:
                         ["means.data"], nthreads=3)
         assert_identical(t, v, "fig1")
         assert t[2][3] >= 1  # parallel regions exercised on both
+
+    def test_two_folds_sum_and_product(self):
+        cube = two_folds_cube(1, (6, 8, 12))
+        t, v = run_both(TWO_FOLDS, ("matrix",), {"ssh.data": cube},
+                        ["out.data"], nthreads=3)
+        assert_identical(t, v, "two-folds")
 
     def test_fig4_conncomp(self):
         rng = np.random.default_rng(9)
@@ -191,6 +220,13 @@ class TestParallelIdentity:
                                 {"ssh.data": cube}, ["means.data"])
         assert_identical(seq, par, "fig1-par")
         assert seq[2][3] >= 1  # a parallel region actually ran
+
+    def test_two_folds_identical_at_4_workers(self):
+        cube = two_folds_cube(2, (7, 5, 33))
+        seq, par = self.vm_pair(TWO_FOLDS, ("matrix",),
+                                {"ssh.data": cube}, ["out.data"])
+        assert_identical(seq, par, "two-folds-par")
+        assert seq[2][3] >= 1
 
     def test_fig8_identical_at_4_workers(self):
         data = synthetic_ssh((5, 6, 32), n_eddies=2, seed=3)

@@ -138,6 +138,84 @@ class TestBackendsAgree:
         assert (outs["eddyLabels.data"] == native.outputs["eddyLabels.data"]).all()
 
 
+DIV_BY_ZERO = """
+int main() {
+    Matrix float <1> x = readMatrix("x.data");
+    int n = dimSize(x, 0);
+    float z = 0.0;
+    float nz = -z;
+    Matrix float <1> s = init(Matrix float <1>, 4);
+    s[0] = x[1] / z;
+    s[1] = -x[1] / z;
+    s[2] = x[1] / nz;
+    s[3] = z / z;
+    Matrix float <1> a = init(Matrix float <1>, n);
+    a = with ([0] <= [i] < [n]) genarray([n], x[i] / z);
+    Matrix float <1> b = init(Matrix float <1>, n);
+    b = with ([0] <= [i] < [n]) genarray([n], -x[i] / z);
+    Matrix float <1> c = init(Matrix float <1>, n);
+    c = with ([0] <= [i] < [n]) genarray([n], x[i] / nz);
+    writeMatrix("s.data", s);
+    writeMatrix("a.data", a);
+    writeMatrix("b.data", b);
+    writeMatrix("c.data", c);
+    return 0;
+}
+"""
+
+
+class TestFloatDivisionByZero:
+    """Float division by zero follows IEEE 754 on every engine, as in the
+    generated C: the tree walker, the VM (scalar code and numpy plans)
+    and the gcc build write the same bytes and exit 0."""
+
+    def three_engines(self, src, inputs, outputs):
+        from repro.cexec import compile_and_run, gcc_available
+        from repro.cexec.interp import run_program
+
+        got = {}
+        for engine in ("tree", "vm"):
+            rc, files, _st, _ex = run_program(
+                src, ["matrix"], inputs, output_names=outputs,
+                nthreads=1, engine=engine)
+            got[engine] = (rc, {k: files[k].tobytes() for k in outputs})
+        if gcc_available():
+            native = compile_and_run(src, ["matrix"], inputs,
+                                     output_names=outputs)
+            got["gcc"] = (native.returncode,
+                          {k: native.outputs[k].tobytes() for k in outputs})
+        assert all(v == got["tree"] for v in got.values()), got
+        return got["tree"]
+
+    def test_scalar_and_plan_quotients(self, monkeypatch):
+        from repro.cexec import loopfast
+
+        plans = []
+        orig = loopfast.Plan.run
+
+        def run(self, frame, stats=None):
+            plans.append(orig(self, frame, stats))
+            return plans[-1]
+        monkeypatch.setattr(loopfast.Plan, "run", run)
+        # 17 lanes: each genarray enters its plan at the shipped MIN_TRIP
+        x = np.array([1.5, -2.0, 0.0, -0.0, np.inf, -np.inf, np.nan]
+                     + [3.0] * 10, dtype=np.float32)
+        outs = ["s.data", "a.data", "b.data", "c.data"]
+        rc, files = self.three_engines(DIV_BY_ZERO, {"x.data": x}, outs)
+        assert rc == 0 and plans == [True] * 3
+        s = np.frombuffer(files["s.data"], np.float32)
+        assert list(s[:3]) == [-np.inf, np.inf, np.inf] and np.isnan(s[3])
+        a = np.frombuffer(files["a.data"], np.float32)
+        assert list(a[:2]) == [np.inf, -np.inf] and np.isnan(a[2:4]).all()
+
+    def test_fig1_on_an_empty_time_axis(self):
+        cube = np.zeros((3, 4, 0), np.float32)
+        rc, files = self.three_engines(load("fig1"), {"ssh.data": cube},
+                                       ["means.data"])
+        assert rc == 0
+        assert np.isnan(np.frombuffer(files["means.data"], np.float32)).all()
+
+
 class TestThreadCountInvariance:
     """Results must not depend on the worker count (determinism of the
     enhanced fork-join parallelization, §III-C)."""
