@@ -12,9 +12,9 @@ numpy fast path releases the GIL for its batched loop bodies, so shards
 genuinely overlap on a multi-core host.  Gates:
 
 * on a >=4-core runner (GitHub CI), >=1.6x speedup at 4 workers;
-* on this 1-vCPU container (see DESIGN.md substitutions), only bounded
-  overhead is asserted and the honest timings are recorded with the
-  core count;
+* on fewer cores only bounded overhead is asserted, and the honest
+  timings are recorded with the core count (E-PAR2's fig8 gate needs
+  only 2 cores);
 * enhanced vs naive fork-join is compared for real by running the same
   region-heavy program with :class:`NaiveForkJoin` swapped in for the
   VM's pool (fresh threads per construct, the model the paper rejects).
@@ -41,6 +41,7 @@ from repro.cexec import CompiledProgram, gcc_available
 from repro.cexec.rmat import read_rmat, write_rmat
 from repro.cexec.vm import VM
 from repro.codegen.scaling import ForkJoinCosts, calibrated_costs
+from repro.eddy import synthetic_ssh
 from repro.programs import load
 
 from benchmarks.naive_fork_join import use_naive_pool
@@ -51,6 +52,9 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 # the 8-row outer space still splits evenly over 4 workers.
 SHAPE = (8, 2, 20_000) if SMOKE else (8, 4, 200_000)
 REPEATS = 3 if SMOKE else 5
+# fig8's eddy scoring for E-PAR2: 144 series of 96 steps.
+FIG8_SHAPE = (12, 12, 96)
+FIG8 = "fig8 eddy scoring (matrixMap, scalar shards)"
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCH_FILE = REPO_ROOT / "BENCH_parallel.json"
 
@@ -167,12 +171,16 @@ class TestMeasuredVMScaling:
     def test_backend_scaling_curves(self, fig1, tmp_path):
         """E-PAR2: thread vs process backend, measured per-backend curves.
 
-        Two workloads bound the design space: fig1's temporal mean is
+        Three workloads bound the design space: fig1's temporal mean is
         numpy-vectorized (the GIL is released, threads scale), while the
         integer-division genarray *bails* the fast path and runs scalar
         bytecode — there the GIL serializes threads and only the S27
-        process pool can win.  The >=2x-at-4 gate applies to the process
-        backend on the scalar workload, and only where >=4 CPUs exist.
+        process pool can win.  fig8's `matrixMap` is the paper's own
+        scalar-shard case: each series runs short loops of scalar
+        bytecode and allocates and frees its own matrices.  Gates: the
+        process backend reaches >=2x at 4 workers on the scalar genarray
+        where >=4 CPUs exist, and where >=2 CPUs exist fig8 on processes
+        at 2 workers takes at most 0.8x its time on threads.
         """
         cpus = os.cpu_count() or 1
         n_elems = 4_000 if SMOKE else 24_000
@@ -195,15 +203,25 @@ class TestMeasuredVMScaling:
         assert scalar_cr.ok, scalar_cr.errors
         scalar_cr.bytecode()
 
+        fig8_wd = tmp_path / "fig8"
+        fig8_wd.mkdir()
+        write_rmat(fig8_wd / "ssh.data",
+                   synthetic_ssh(FIG8_SHAPE, n_eddies=3, seed=8).cube)
+        fig8_cr = compile_source(load("fig8"), ["matrix"])
+        assert fig8_cr.ok, fig8_cr.errors
+        fig8_cr.bytecode()
+
         fig1_cr, fig1_wd, _ = fig1
         workloads = {
             "fig1 temporal mean (numpy shards)":
                 (fig1_cr, fig1_wd, "means.data"),
             "integer-division genarray (scalar shards)":
                 (scalar_cr, tmp_path, "q.data"),
+            FIG8: (fig8_cr, fig8_wd, "temporalScores.data"),
         }
         curves = []
         speedup4 = {}
+        secs_at = {}
         for wname, (cr, wd, out_name) in workloads.items():
             for backend in ("thread", "process"):
                 times = {}
@@ -221,6 +239,7 @@ class TestMeasuredVMScaling:
                         assert np.array_equal(reference, out), \
                             f"{wname}/{backend}/{n} changed the result"
                     times[n] = secs
+                    secs_at[(wname, backend, n)] = secs
                 for n in (1, 2, 4):
                     curves.append({
                         "workload": wname, "backend": backend, "workers": n,
@@ -229,17 +248,25 @@ class TestMeasuredVMScaling:
                 speedup4[(wname, backend)] = times[1] / times[4]
         scalar_proc4 = speedup4[
             ("integer-division genarray (scalar shards)", "process")]
+        fig8_ratio2 = (secs_at[(FIG8, "process", 2)]
+                       / secs_at[(FIG8, "thread", 2)])
         _merge_bench({"E-PAR2": {
             "experiment": "E-PAR2",
             "cpus": cpus,
             "smoke": SMOKE,
             "scalar_elems": n_elems,
+            "fig8_shape": list(FIG8_SHAPE),
             "curves": curves,
             "gate": {"backend": "process",
                      "workload": "integer-division genarray (scalar shards)",
                      "required_speedup_at_4": 2.0,
                      "enforced": cpus >= 4,
                      "measured_speedup_at_4": round(scalar_proc4, 2)},
+            "fig8_gate": {"workload": FIG8,
+                          "process_over_thread_at_2_max": 0.8,
+                          "enforced": cpus >= 2,
+                          "measured_process_over_thread_at_2":
+                              round(fig8_ratio2, 2)},
             "python": platform.python_version(),
         }})
         print("\n" + "\n".join(
@@ -258,6 +285,10 @@ class TestMeasuredVMScaling:
                  and c["backend"] == "process"}
             assert t[4] <= 4.0 * t[1], \
                 f"process pool overhead {t[4]/t[1]:.2f}x on {cpus} core(s)"
+        if cpus >= 2:
+            assert fig8_ratio2 <= 0.8, \
+                f"fig8 on 2 processes took {fig8_ratio2:.2f}x its time " \
+                f"on 2 threads"
 
     def test_enhanced_pool_beats_naive_on_small_regions(self, tmp_path,
                                                         monkeypatch):

@@ -33,9 +33,9 @@ SHARD_BLOCKERS = frozenset([H_IO])
 TASK_BLOCKERS = frozenset([H_IO, H_PRINT, H_TRAP, H_POOL, H_RC])
 # A shard moved into a *process* worker (S27) sees copies of the capture
 # matrices in shared memory; element writes copy back deterministically,
-# but refcount mutations would act on per-process copies of the count
-# and frees on the worker side would not free anything in the parent —
-# so rc traffic joins I/O as a process blocker.  Everything buffered
+# but an rc op on a capture would act on the worker's copy of its count,
+# so rc traffic joins I/O here.  ParallelSafety.process_safe lifts the rc
+# blocker when no capture can reach an rc op.  Everything buffered
 # (prints, stats) or merged (traps) ships back over the result pipe.
 PROCESS_BLOCKERS = frozenset([H_IO, H_RC])
 

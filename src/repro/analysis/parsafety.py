@@ -21,7 +21,8 @@ carries that hazard, and the verdict renders it as
 
 ``BytecodeProgram.lifted_parallel_safe``/``task_parallel_safe`` now
 consult this class, so the VM refuses exactly what the diagnostics
-explain — the silent bail of S23 is gone.
+explain — the silent bail of S23 is gone.  Process eligibility (S27)
+adds one linear bytecode scan, :func:`capture_escape`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,62 @@ from dataclasses import dataclass
 
 from repro.analysis.callgraph import CallGraph, Key, display_name
 from repro.analysis.hazards import (
-    H_SPAWN, HAZARD_GLOSS, PROCESS_BLOCKERS, SHARD_BLOCKERS, TASK_BLOCKERS,
+    H_RC, H_SPAWN, HAZARD_GLOSS, PROCESS_BLOCKERS, SHARD_BLOCKERS,
+    TASK_BLOCKERS,
 )
+
+# Intrinsics that read or check a matrix but neither touch its refcount
+# nor return it (rt_assign_copy rc_decs and returns an alias).
+_CAPTURE_SAFE_INTRINSICS = frozenset([
+    "rt_bounds_check", "rt_bounds_ok", "rt_require_dim", "rt_check_rank",
+    "rt_matmul_check", "rt_shape_check", "rt_require_divisible",
+    "rt_vloadf", "rt_vstoref", "rt_vgatherf", "rt_vscatterf",
+])
+_SCALAR_CTYPES = frozenset(["int", "long", "float", "double", "char"])
+
+
+def capture_escape(code, seeds=None) -> str | None:
+    """How a capture of a lifted body can reach refcount state, or None.
+
+    ``seeds`` (default: every parameter slot but ``__lo``/``__hi``) are
+    closed over ``move`` flow-insensitively.  A tainted slot escapes as
+    an operand of ``rc_inc``/``rc_dec``, ``ret``, ``call``, ``spawn``,
+    ``pool``, ``tuple``/``tget`` or an ``intr`` outside
+    :data:`_CAPTURE_SAFE_INTRINSICS`; element and shape opcodes and
+    ``fastloop`` plans only load, store and read dims."""
+    params = code.params
+    copies: dict[int, list[int]] = {}
+    for ins in code.instrs:
+        if ins[0] == "move":
+            copies.setdefault(ins[2], []).append(ins[1])
+    origin: dict[int, int] = {}  # tainted slot -> its capture slot
+    for seed in range(1, len(params) - 1) if seeds is None else seeds:
+        stack = [seed]
+        while stack:
+            s = stack.pop()
+            if s not in origin:
+                origin[s] = seed
+                stack.extend(copies.get(s, ()))
+    for ins in code.instrs:
+        op = ins[0]
+        if op in ("rc_inc", "rc_dec", "ret"):
+            regs, what = (ins[1],), f"reaches {op}"
+        elif op in ("call", "spawn"):
+            regs, what = ins[3], f"is passed to {op} '{ins[2]}'"
+        elif op == "pool":
+            regs, what = ins[3], f"is captured by nested region '{ins[1]}'"
+        elif op == "tuple":
+            regs, what = ins[2], "reaches tuple"
+        elif op == "tget":
+            regs, what = (ins[2],), "reaches tget"
+        elif op == "intr" and ins[2] not in _CAPTURE_SAFE_INTRINSICS:
+            regs, what = ins[3], f"is passed to intrinsic {ins[2]}"
+        else:
+            continue
+        for r in regs:
+            if r in origin:
+                return f"capture '{params[origin[r] - 1]}' {what}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -61,7 +116,7 @@ class ParallelVerdict:
     hazards: frozenset
     blockers: tuple[Blocker, ...]
     # S27: a shard-safe region may additionally qualify for the
-    # shared-memory *process* pool (shard-safe AND no rc traffic).  None
+    # shared-memory *process* pool (no capture reaches rc traffic).  None
     # for task verdicts, where the question does not arise.
     process_safe: bool | None = None
     process_blockers: tuple[Blocker, ...] = ()
@@ -114,6 +169,7 @@ class ParallelSafety:
         self.program = program
         self.graph = graph if graph is not None else CallGraph(program)
         self._memo: dict[Key, frozenset] = {}
+        self._escapes: dict[str, str | None] = {}
 
     # -- the S23 fixpoint, verbatim semantics --------------------------------
 
@@ -168,10 +224,36 @@ class ParallelSafety:
         return ra is not None and ra.race_cleared(name)
 
     def process_safe(self, name: str) -> bool:
-        """Whether a shard may execute in a *process* worker (S27):
-        shard-safe and free of refcount traffic, so copies of the
-        capture matrices in shared memory behave identically."""
-        return not (self.hazards(("lifted", name)) & PROCESS_BLOCKERS)
+        """Whether a shard may execute in a *process* worker (S27).
+
+        A process shard differs from the sequential run in one way
+        only: what it does to the capture objects' ``rc`` fields and
+        freed state, because the worker wraps each capture in a fresh
+        ``RTMat`` with ``rc=1`` and then discards it.  A capture can
+        reach a refcount only through its own frame slot or a ``move``
+        copy of it: CMINUS has no globals, and a callee sees a matrix
+        only through its arguments.  So when no capture slot escapes
+        (:func:`capture_escape`), every rc op under the region, in the
+        body or in any callee, acts on a matrix the shard allocated, and
+        its frees count into ``InterpStats.frees``, which the ordered
+        merge sums.  The rc hazard therefore blocks only when a capture
+        escapes; file I/O always blocks."""
+        blocking = self.hazards(("lifted", name)) & PROCESS_BLOCKERS
+        if blocking == {H_RC} and self.capture_escape(name) is None:
+            return True
+        return not blocking
+
+    def capture_escape(self, name: str) -> str | None:
+        """:func:`capture_escape` of a lifted body, seeded with its
+        non-scalar captures and memoized (the VM asks on every run)."""
+        if name not in self._escapes:
+            captures = next(lf.captures for lf in self.program.lifted
+                            if lf.name == name and hasattr(lf, "body"))
+            seeds = [slot for slot, (ctype, _n) in enumerate(captures, 1)
+                     if ctype not in _SCALAR_CTYPES]
+            self._escapes[name] = capture_escape(
+                self.program.lifted_code_for(name), seeds)
+        return self._escapes[name]
 
     # -- explanation ---------------------------------------------------------
 
@@ -221,8 +303,11 @@ class ParallelSafety:
             return ParallelVerdict(kind, name, safe, hz, blockers,
                                    race_note=note)
         p_safe = self.process_safe(name)
-        p_blocking = sorted((hz & PROCESS_BLOCKERS) - set(blocking))
-        p_blockers = tuple(self.witness(root, h) for h in p_blocking)
+        p_blockers: tuple[Blocker, ...] = ()
+        if safe and not p_safe:
+            # Shard safety excludes I/O, so rc blocks.  The evidence is
+            # the escaping capture: the nearest rc op may act on a local.
+            p_blockers = (Blocker(H_RC, (root,), self.capture_escape(name)),)
         return ParallelVerdict(kind, name, safe, hz, blockers,
                                process_safe=p_safe,
                                process_blockers=p_blockers)

@@ -563,7 +563,9 @@ def _discharged_guards(name: str, params: list[str], body: Node,
 def compile_function(name: str, params: list[str], body: Node, *,
                      proven: frozenset | None = None) -> Code:
     guards = _discharged_guards(name, params, body, proven)
-    return _FnCompiler(name, params, guards).finish(body)
+    # Float literals narrow to float32 here and in plans: silent inf.
+    with np.errstate(all="ignore"):
+        return _FnCompiler(name, params, guards).finish(body)
 
 
 class BytecodeProgram:
@@ -723,9 +725,9 @@ class BytecodeProgram:
 
     def lifted_process_safe(self, name: str) -> bool:
         """May this lifted pool-worker body run in a *process* worker
-        against shared-memory matrix copies (S27)?  Shard-safe and free
-        of refcount traffic (frees in a child would not free anything
-        in the parent)."""
+        against shared-memory matrix copies (S27)?  Shard-safe, and no
+        refcount op under it can reach a capture (a free in a child
+        would not free the parent's matrix; shard-local ones may run)."""
         return self.safety.process_safe(name)
 
     def hazards_for(self, name: str, *, lifted: bool = False) -> frozenset:

@@ -405,7 +405,8 @@ class Interpreter(RTRuntime):
     def run_main(self, argv: list[str] | None = None) -> int:
         if "main" not in self.functions:
             raise InterpError("no main function")
-        out = self.call_function("main", [])
+        with np.errstate(all="ignore"):  # IEEE specials are silent, as in C
+            out = self.call_function("main", [])
         return int(out) if out is not None else 0
 
     def call_function(self, name: str, args: list[Any]) -> Any:

@@ -494,8 +494,7 @@ def _fold_phase(fold: FoldBody, frame, ivs: dict, n: int) -> tuple[dict, set]:
                 chain[:, 1:] = e.reshape(r1 - r0, nk) \
                     if isinstance(e, np.ndarray) else e
                 scan = np.cumsum if op == "+" else np.cumprod
-                with np.errstate(invalid="ignore", over="ignore"):
-                    accs[acc][r0:r1] = scan(chain, axis=1, out=chain)[:, -1]
+                accs[acc][r0:r1] = scan(chain, axis=1, out=chain)[:, -1]
             loaded.update(id(mat) for mat, _idx, _s in rt.loads)
     binds.update(accs)
     return binds, loaded
@@ -579,8 +578,7 @@ def _build_ev(fc, node, var_names):
                 if _is_intlike(x) and _is_intlike(y):
                     raise _Bail("integer division")  # c_div truncation
                 # IEEE 754 f64 division, zero divisors included (c_div)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return _as_f64(x) / _as_f64(y)
+                return _as_f64(x) / _as_f64(y)
             return div
         if op in ("<", "<=", ">", ">=", "==", "!="):
             import operator

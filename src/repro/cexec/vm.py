@@ -158,12 +158,15 @@ class VM(RTRuntime):
     def run_main(self, argv: list[str] | None = None) -> int:
         if "main" not in self.program.functions:
             raise InterpError("no main function")
-        try:
-            out = self.call_function("main", [])
-        finally:
-            # Implicit final sync: finish outstanding Cilk tasks and fold
-            # their stats in before counters become observable.
-            self._drain_tasks()
+        # Silent IEEE specials, as in C (errstate is per context, so
+        # each pool job enters it too).
+        with np.errstate(all="ignore"):
+            try:
+                out = self.call_function("main", [])
+            finally:
+                # Implicit final sync: finish outstanding Cilk tasks and
+                # fold their stats in before counters become observable.
+                self._drain_tasks()
         return int(out) if out is not None else 0
 
     # The instruction stream this VM executes is the superinstruction-
@@ -342,8 +345,8 @@ class VM(RTRuntime):
                     results = self._pool_run_process(
                         fname, captures, shards, ppool)
                     if results is not None:
+                        self.process_regions += 1  # trapped ones too
                         self._merge_region_results(results)
-                        self.process_regions += 1
                         return True
                     # Lost worker: the region committed nothing; rerun
                     # it sequentially for exact sequential semantics.
@@ -407,7 +410,8 @@ class VM(RTRuntime):
                 tl.stats, tl.stdout = InterpStats(), []
                 exc = None
                 try:
-                    self._run(ops, nregs, captures + [lo, hi])
+                    with np.errstate(all="ignore"):
+                        self._run(ops, nregs, captures + [lo, hi])
                 except Exception as e:
                     exc = e
                 finally:
@@ -521,7 +525,8 @@ class VM(RTRuntime):
             tl.stats, tl.stdout = InterpStats(), []
             exc = None
             try:
-                self._run(ops, nregs, captures + [job["lo"], job["hi"]])
+                with np.errstate(all="ignore"):
+                    self._run(ops, nregs, captures + [job["lo"], job["hi"]])
             except Exception as e:
                 # Tracebacks pin frames whose locals reference the shm
                 # views (and do not pickle anyway): keep the bare error.
@@ -551,7 +556,8 @@ class VM(RTRuntime):
                 prev_stdout = getattr(tl, "stdout", None)
                 tl.stats, tl.stdout = InterpStats(), []
                 try:
-                    result = self.call_function(callee, args)
+                    with np.errstate(all="ignore"):
+                        result = self.call_function(callee, args)
                     if target is not None:
                         frame[target] = result
                 finally:

@@ -164,7 +164,8 @@ def dvnt(fn: TACFunc, counts, poisoned: set[int]) -> None:
                                      and a.vid in consts
                                      for a in ins.args):
                 try:
-                    val = _FOLD[op](*[consts[a.vid] for a in ins.args])
+                    with np.errstate(all="ignore"):  # silent inf, as in C
+                        val = _FOLD[op](*[consts[a.vid] for a in ins.args])
                 except Exception:
                     val = _SENTINEL    # trapping fold: leave it in place
                 if val is not _SENTINEL:

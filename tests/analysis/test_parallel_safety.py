@@ -7,7 +7,8 @@ fixpoint, witness chains, and the VM consuming the same verdicts.
 bytecode surface only.  The differential tests prove the shared
 :class:`ParallelSafety` analysis reaches bit-identical hazard sets and
 shard/task eligibility decisions on every function and lifted worker of
-every shipped program."""
+every shipped program.  The S27 capture-escape scan, which narrows the
+refcount blocker of the process pool, is tested on hand-built code."""
 
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from repro.analysis.hazards import (
     ALL_HAZARDS, H_IO, H_POOL, H_PRINT, H_RC, H_SPAWN, H_TRAP,
     SHARD_BLOCKERS, TASK_BLOCKERS, TRAP_OPS,
 )
+from repro.analysis.parsafety import _CAPTURE_SAFE_INTRINSICS, capture_escape
+from repro.cexec.bytecode import Code
 from repro.cexec.interp import InterpError
 from repro.programs import PROGRAMS, load
 from tests.analysis.common import compile_xc
@@ -120,11 +123,28 @@ int main() {
 """
 
 
+# A with-loop whose captured matrix reaches a callee's rc traffic.
+PICK = """
+float pick(Matrix float <1> m, int i) {
+    Matrix float <1> t = m;
+    return t[i];
+}
+int main() {
+    Matrix float <1> v = init(Matrix float <1>, 8);
+    Matrix float <1> b = init(Matrix float <1>, 8);
+    b = with ([0] <= [i] < [8]) genarray([8], pick(v, i) + 1.0);
+    writeMatrix("out.data", b);
+    return 0;
+}
+"""
+
+
 def corpus():
     cases = [(name, load(name), ("matrix", "transform"))
              for name in sorted(PROGRAMS)]
     cases.append(("unsafe_io", UNSAFE_IO, ("matrix",)))
     cases.append(("recursive", RECURSIVE, ("matrix",)))
+    cases.append(("rc_capture", PICK, ("matrix",)))
     return cases
 
 
@@ -201,6 +221,10 @@ def test_every_refusal_everywhere_carries_a_reason():
                 assert v.blockers
                 for b in v.blockers:
                     assert b.what and b.render()
+            if v.safe and v.process_safe is False:
+                assert v.process_blockers
+                for b in v.process_blockers:
+                    assert b.what and b.render()
 
 
 def test_witness_is_shortest_chain():
@@ -228,3 +252,104 @@ def test_vm_refuses_exactly_what_the_analysis_refuses(tmp_path):
         assert any("not shard-safe" in r and "io" in r for r in reasons)
     finally:
         vm.close()
+
+
+# -- process eligibility: the capture-escape scan (S27) ----------------------
+
+
+def region(*instrs):
+    """A hand-built lifted body: captures 'v' (slot 1) and 'w' (slot 2),
+    then the chunk bounds; slots 5+ are locals."""
+    return Code("__wl_body0", ["v", "w", "__lo", "__hi"], nregs=12,
+                instrs=list(instrs) + [("ret_none",)])
+
+
+@pytest.mark.parametrize("instrs,finding", [
+    ([("move", 5, 1), ("rc_dec", 5)], "capture 'v' reaches rc_dec"),
+    ([("move", 5, 2), ("move", 6, 5), ("rc_inc", 6)],
+     "capture 'w' reaches rc_inc"),
+    ([("call", 5, "pick", (1, 3))], "capture 'v' is passed to call 'pick'"),
+    ([("spawn", None, "f", (2,))], "capture 'w' is passed to spawn 'f'"),
+    ([("pool", "__inner", 3, (1,))],
+     "capture 'v' is captured by nested region '__inner'"),
+    ([("tuple", 5, (3, 1))], "capture 'v' reaches tuple"),
+    ([("tget", 5, 2, 0)], "capture 'w' reaches tget"),
+    ([("ret", 1)], "capture 'v' reaches ret"),
+    ([("intr", 5, "rt_assign_copy", (6, 1))],
+     "capture 'v' is passed to intrinsic rt_assign_copy"),
+], ids=["move-rc_dec", "move-chain-rc_inc", "call", "spawn", "pool", "tuple",
+        "tget", "ret", "rt_assign_copy"])
+def test_capture_escape_routes(instrs, finding):
+    assert capture_escape(region(*instrs)) == finding
+
+
+def test_capture_reads_and_local_rc_traffic_do_not_escape():
+    instrs = [("intr", 5, m, (1, 2, 3, 4))
+              for m in sorted(_CAPTURE_SAFE_INTRINSICS)]
+    instrs += [
+        ("rt_getf", 5, 1, 3), ("rt_setf", 2, 3, 5), ("rt_geti", 5, 1, 3),
+        ("rt_seti", 2, 3, 5), ("rt_dim", 5, 1, 3), ("rt_size", 5, 2),
+        ("fastloop", None, 20),
+        # A shard-allocated matrix: its rc traffic stays in the shard.
+        ("intr", 7, "rt_allocf", (3, 3, 3, 3, 3)), ("move", 8, 7),
+        ("call", 9, "f", (8, 3, 4)), ("rc_inc", 8), ("rc_dec", 7),
+        # Overwriting a capture slot taints its readers, not the source.
+        ("move", 1, 7), ("rc_dec", 7), ("ret", 9),
+    ]
+    assert capture_escape(region(*instrs)) is None
+
+
+def test_capture_escape_respects_seeds():
+    code = region(("call", 5, "f", (1,)), ("call", 6, "g", (2,)))
+    assert capture_escape(code, seeds=[2]) == \
+        "capture 'w' is passed to call 'g'"
+    assert capture_escape(code, seeds=[]) is None
+
+
+@pytest.mark.parametrize("fig", ["fig4", "fig8"])
+def test_allocating_maps_are_process_safe(fig):
+    # Every rc op under these maps acts on a matrix the shard allocated.
+    program = compile_xc(load(fig), ("matrix", "transform")).bytecode()
+    (name,) = [n for n in program.lifted_trees if n.startswith("__mmap_body")]
+    assert H_RC in program.hazards_for(name, lifted=True)
+    assert program.safety.capture_escape(name) is None
+    assert program.lifted_process_safe(name)
+    (v,) = [v for v in analyze_parallel(program) if v.name == name]
+    assert v.process_safe and not v.process_blockers
+    assert "(thread or process workers)" in v.explain()
+
+
+SCALAR_TO_CALL = """
+float f(float s, int i) {
+    Matrix float <1> t = init(Matrix float <1>, 4);
+    t[0] = s;
+    return t[0] + i;
+}
+int main() {
+    float s = 2.0;
+    Matrix float <1> b = init(Matrix float <1>, 8);
+    b = with ([0] <= [i] < [8]) genarray([8], f(s, i));
+    writeMatrix("b.data", b);
+    return 0;
+}
+"""
+
+
+def test_escaping_capture_keeps_the_rc_blocker_and_names_it():
+    program = compile_xc(PICK).bytecode()
+    (name,) = program.lifted_trees
+    assert not program.lifted_process_safe(name)
+    (v,) = analyze_parallel(program)
+    assert v.safe and v.process_safe is False
+    (b,) = v.process_blockers
+    assert b.hazard == H_RC
+    assert b.what == "capture 'v' is passed to call 'pick'"
+    assert "thread workers only" in v.explain()
+
+
+def test_scalar_captures_have_no_refcount():
+    # 's' (a float) reaches a call, but only matrix captures are seeded.
+    program = compile_xc(SCALAR_TO_CALL).bytecode()
+    (name,) = program.lifted_trees
+    assert H_RC in program.hazards_for(name, lifted=True)
+    assert program.lifted_process_safe(name)

@@ -5,9 +5,10 @@ The process pool must be *observationally invisible*: for any worker
 count and any program, ``parallel_backend="process"`` (and ``"auto"``)
 produces bit-identical outputs, traps, ordered stdout, and merged
 InterpStats counters to the sequential run — with ineligible regions
-(IO/refcount hazards, unshippable captures) falling back to the thread
-pool, a lost worker degrading to an exact sequential rerun, and every
-shared-memory segment unlinked no matter how the run ends.
+(IO hazards, refcount traffic that can reach a capture, unshippable
+captures) falling back to the thread pool, a lost worker degrading to an
+exact sequential rerun, and every shared-memory segment unlinked no
+matter how the run ends.
 """
 
 import gc
@@ -37,6 +38,11 @@ def leaked_segments():
             if f"_{os.getpid()}_" in os.path.basename(p)]
 
 
+def stats_tuple(st):
+    return (st.allocs, st.frees, st.copies, st.parallel_regions,
+            st.tasks_spawned, tuple(st.region_sizes))
+
+
 def run_one(src, exts, inputs=None, outputs=None, nthreads=1, backend=None):
     """(rc, trap, stats_tuple, stdout, outputs) for one configuration."""
     trap = None
@@ -47,11 +53,32 @@ def run_one(src, exts, inputs=None, outputs=None, nthreads=1, backend=None):
             nthreads=nthreads, parallel_backend=backend)
     except RuntimeTrap as t:
         trap = str(t)
-    stats = None
-    if st is not None:
-        stats = (st.allocs, st.frees, st.copies, st.parallel_regions,
-                 st.tasks_spawned, tuple(st.region_sizes))
+    stats = stats_tuple(st) if st is not None else None
     return (rc, trap, stats, list(ex.stdout) if ex else None, outs)
+
+
+def run_engine(src, exts, inputs, outputs, workdir, nthreads=1,
+               backend=None):
+    """Like :func:`run_one`, but the stats tuple survives a trap; also
+    returns how many regions ran on the process pool."""
+    from repro.cexec.rmat import read_rmat, write_rmat
+
+    cr = compile_source(src, list(exts))
+    for name, arr in (inputs or {}).items():
+        write_rmat(workdir / name, arr)
+    engine = cr.make_engine(nthreads=nthreads, parallel_backend=backend,
+                            workdir=workdir)
+    rc, trap = None, None
+    try:
+        rc = engine.run_main()
+    except RuntimeTrap as t:
+        trap = str(t)
+    finally:
+        engine.close()
+    outs = {k: read_rmat(workdir / k) for k in outputs
+            if (workdir / k).exists()}
+    return (rc, trap, stats_tuple(engine.stats), list(engine.stdout),
+            outs), engine.process_regions
 
 
 def assert_identical(seq, par, label=""):
@@ -100,6 +127,46 @@ int main() {
 }
 """
 
+# The with-loop hands its captured matrix to a callee that copies the
+# reference: rc traffic reaches a capture, so processes are refused.
+PICK_SRC = """
+float pick(Matrix float <1> m, int i) {
+    Matrix float <1> t = m;
+    return t[i];
+}
+int main() {
+    Matrix float <1> v = readMatrix("v.data");
+    Matrix float <1> b = init(Matrix float <1>, 64);
+    b = with ([0] <= [i] < [64]) genarray([64], pick(v, i) + 1.0);
+    writeMatrix("b.data", b);
+    return 0;
+}
+"""
+
+
+def pick_case():
+    v = np.random.default_rng(4).normal(0, 1, 64).astype(np.float32)
+    return PICK_SRC, ("matrix",), {"v.data": v}, ["b.data"]
+
+
+# A matrixMap whose function allocates, frees and divides an int by a
+# data-dependent zero: process-eligible, and it traps mid-region.
+MAP_TRAP_SRC = """
+Matrix int <1> ratio(Matrix int <1> v) {
+    int n = dimSize(v, 0);
+    Matrix int <1> r = init(Matrix int <1>, n);
+    r = with ([0] <= [i] < [n]) genarray([n], 360 / v[i]);
+    return r;
+}
+int main() {
+    Matrix int <2> a = readMatrix("a.data");
+    printInt(dimSize(a, 0));
+    Matrix int <2> q = matrixMap(ratio, a, [1]);
+    writeMatrix("q.data", q);
+    return 0;
+}
+"""
+
 STDOUT_SRC = """
 int main() {
     Matrix float <1> v = init(Matrix float <1>, 64);
@@ -119,9 +186,10 @@ class TestIdentity:
     def test_corpus_bit_identical(self, fig, backend):
         src, exts, inputs, outputs = corpus_case(fig)
         seq = run_one(src, exts, inputs, outputs, nthreads=1)
-        par = run_one(src, exts, inputs, outputs, nthreads=4,
-                      backend=backend)
-        assert_identical(seq, par, f"{fig}/{backend}")
+        for nthreads in (2, 4):
+            par = run_one(src, exts, inputs, outputs, nthreads=nthreads,
+                          backend=backend)
+            assert_identical(seq, par, f"{fig}/{backend}/{nthreads}")
         assert not leaked_segments()
 
     def test_stdout_ordering(self):
@@ -146,6 +214,25 @@ class TestIdentity:
         assert_identical(seq, par, "trap")
         assert not leaked_segments()
 
+    @pytest.mark.parametrize("backend", ["process", "auto"])
+    def test_trapping_matrixmap_matches_seq(self, backend, tmp_path):
+        # Zero divisors in series 2 (shard 1 of 4) and 5 (shard 2): the
+        # map runs on processes, and the trap text, stdout and counters
+        # (the trapped series' allocs included) equal the sequential run.
+        a = np.arange(1, 49, dtype=np.int32).reshape(8, 6)
+        a[2, 3] = 0
+        a[5, 1] = 0
+        case = (MAP_TRAP_SRC, ("matrix",), {"a.data": a}, ["q.data"])
+        (tmp_path / "seq").mkdir()
+        (tmp_path / "par").mkdir()
+        seq, _ = run_engine(*case, tmp_path / "seq")
+        par, procs = run_engine(*case, tmp_path / "par", nthreads=4,
+                                backend=backend)
+        assert seq[1] == "integer division by zero"
+        assert_identical(seq, par, f"map-trap/{backend}")
+        assert procs == 1
+        assert not leaked_segments()
+
 
 class TestDispatchAndFallback:
     def test_fig1_actually_uses_processes(self):
@@ -158,10 +245,11 @@ class TestDispatchAndFallback:
         assert not any("process-ineligible" in r for r in st.shard_bails)
 
     def test_rc_hazard_falls_back_to_threads(self):
-        # fig4's label-propagation maps mutate reference counts, which
-        # the analysis flags as process-blocking; the explicit process
-        # backend must fall back to threads *and say why*.
-        src, exts, inputs, outputs = corpus_case("fig4")
+        # The region passes its captured matrix to a callee that counts
+        # references on it, which the analysis flags as process-blocking;
+        # the explicit process backend must fall back to threads *and say
+        # why*.
+        src, exts, inputs, outputs = pick_case()
         seq = run_one(src, exts, inputs, outputs, nthreads=1)
         rc, outs, st, ex = run_program(
             src, list(exts), inputs, output_names=outputs,
@@ -169,15 +257,32 @@ class TestDispatchAndFallback:
         assert rc == seq[0]
         for k in seq[4]:
             assert np.array_equal(seq[4][k], outs[k])
+        assert ex.process_regions == 0
         reasons = st.shard_bails
-        assert any("process-ineligible" in r and "rc" in r for r in reasons)
+        assert any("process-ineligible (rc)" in r for r in reasons)
 
     def test_auto_is_silent_about_ineligible_regions(self):
-        src, exts, inputs, outputs = corpus_case("fig4")
+        src, exts, inputs, outputs = pick_case()
+        seq = run_one(src, exts, inputs, outputs, nthreads=1)
         rc, outs, st, ex = run_program(
             src, list(exts), inputs, output_names=outputs,
             nthreads=4, parallel_backend="auto")
         assert rc == 0
+        for k in seq[4]:
+            assert np.array_equal(seq[4][k], outs[k])
+        assert ex.process_regions == 0
+        assert not any("process-ineligible" in r for r in st.shard_bails)
+
+    @pytest.mark.parametrize("fig", ["fig4", "fig8"])
+    def test_allocating_maps_use_processes_under_auto(self, fig):
+        # Every rc op under fig4's and fig8's maps acts on a matrix the
+        # shard allocated, so `auto` ships them to processes.
+        src, exts, inputs, outputs = corpus_case(fig)
+        rc, outs, st, ex = run_program(
+            src, list(exts), inputs, output_names=outputs,
+            nthreads=2, parallel_backend="auto")
+        assert rc == 0
+        assert ex.process_regions >= 1
         assert not any("process-ineligible" in r for r in st.shard_bails)
 
     def test_resolve_backend(self, monkeypatch):
