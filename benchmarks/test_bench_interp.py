@@ -14,12 +14,18 @@ Two gates:
 * wall-clock geomean >=1.3x over the scalar-dominated workloads
   (fig4, fig9, mandelbrot) at nthreads=1.  fig1/fig8 spend their time
   inside numpy fastloop plans the optimizer cannot speed up, so they
-  are measured for the record but excluded from the wall gate.
+  are measured for the record but excluded from the wall gate.  fig9's
+  nest runs as one lane plan, so its case runs with plans forced off
+  (``MIN_TRIP`` above its trip counts) and times its scalar code.
 
 E-XO (S22/S27): the ``fastloop`` trip-count crossover.  Each plan shape
 fig8 runs is timed with its plan forced on and forced off; the scalar
 loop must win at ``MIN_TRIP // 4`` iterations and the plan at
 ``8 * MIN_TRIP``, with identical outputs.
+
+E-VEC (S27): lane plans.  fig9's Fig. 11 form runs with its plans on
+and forced off; the plan must be >=5x faster on the e2e cube, with
+identical outputs.  The VM times of the three §V stages are recorded.
 
 All timings land in ``BENCH_interp.json`` at the repo root, one record
 per experiment, so later PRs can track the trajectory.
@@ -44,6 +50,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_source
+from repro.cexec import loopfast
 from repro.cexec.interp import Interpreter, run_program
 from repro.cexec.rmat import read_rmat, write_rmat
 from repro.cexec.vm import VM
@@ -52,6 +59,7 @@ from repro.eddy import synthetic_ssh
 from repro.programs import load
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
+_SHIPPED_MIN_TRIP = loopfast.MIN_TRIP
 SHAPE = (6, 8, 48) if SMOKE else (20, 20, 400)
 GATE = 3.0 if SMOKE else 10.0
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +173,15 @@ def _mandelbrot_src(scale_down: bool) -> str:
     return src
 
 
+def _plans_off_for(name: str, monkeypatch) -> None:
+    """Force fig9's plans off (``MIN_TRIP`` above every trip count, as
+    E-XO does): its i, jout, jin nest is one lane plan, and the E-IR and
+    E-DSP wall gates time scalar dispatch.  Other cases keep the
+    shipped crossover."""
+    monkeypatch.setattr(loopfast, "MIN_TRIP", sys.maxsize if name == "fig9"
+                        else _SHIPPED_MIN_TRIP)
+
+
 def _instr_corpus():
     """(name, source, externs, inputs, output_names) for the instruction
     count gate.  Sizes are deliberately small: dynamic instruction counts
@@ -225,10 +242,11 @@ class TestIROptimizer:
             f"(gate {self.INSTR_GATE:.0%})"
 
     @pytest.mark.skipif(SMOKE, reason="wall gate needs full-size workloads")
-    def test_wallclock_speedup(self, tmp_path_factory):
+    def test_wallclock_speedup(self, tmp_path_factory, monkeypatch):
         """Scalar-dominated workloads only: fig1/fig8 run inside numpy
         fastloop plans at both levels, so their wall-clock is invariant
-        to the optimizer and would dilute the gate with noise."""
+        to the optimizer and would dilute the gate with noise; fig9 runs
+        with its plans off."""
         cases = []
         ssh = np.random.default_rng(9).normal(
             0.2, 0.5, (60, 60, 8)).astype(np.float32)
@@ -252,6 +270,7 @@ class TestIROptimizer:
                                     options=Optimizations(opt_level=lvl))
                 assert cr.ok, cr.diagnostics
                 setups[lvl] = (cr, cr.bytecode(), wd)
+            _plans_off_for(name, monkeypatch)
             # interleave the levels round-robin: machine-load drift then
             # hits O0 and O2 alike instead of biasing whichever batch
             # ran during the quiet stretch.
@@ -288,7 +307,7 @@ class TestDispatchSpecialization:
 
     Scalar-dominated workloads only, for the same reason as the E-IR
     wall gate: fig1/fig8 run inside numpy fastloop plans where dispatch
-    cost is already amortized away."""
+    cost is already amortized away, and fig9 runs with its plans off."""
 
     WALL_GATE = 1.15 if SMOKE else 1.5
     REPEATS = 3 if SMOKE else 7
@@ -321,6 +340,7 @@ class TestDispatchSpecialization:
                                 options=Optimizations(opt_level=2))
             assert cr.ok, cr.diagnostics
             prog = cr.bytecode()
+            _plans_off_for(name, monkeypatch)
             # Interleave generic and specialized round-robin so machine
             # load drift hits both alike; keep best-of-N per flavor.
             secs = {"generic": float("inf"), "spec": float("inf")}
@@ -537,6 +557,103 @@ class TestFoldNest:
         large = rows[-1]
         assert large["element_over_nest"] > 1, \
             f"nest plan not faster on {large['shape']}: {large}"
+
+
+# fig9's §V stages (EXPERIMENTS E-F9/E-F10/E-F11): the shipped program
+# is the Fig. 11 form; the others cut its clause list back.
+_FIG11_CLAUSES = ("\n        transform split j by 4, jin, jout."
+                  "\n                  vectorize jin."
+                  "\n                  parallelize i")
+_FIG9_STAGES = {
+    "fig9 (untransformed)": "",
+    "fig10 (split)": "\n        transform split j by 4, jin, jout",
+    "fig11 (split + vectorize + parallelize)": _FIG11_CLAUSES,
+}
+
+
+class TestLanePlans:
+    """E-VEC: lane plans.  fig9's Fig. 11 form runs its i, jout, jin
+    nest (folding over k in 4-lane vectors) as one fold-nest plan with a
+    lane axis; the other arm forces every plan off through ``MIN_TRIP``,
+    so the vector code calls one ``rt_v*`` intrinsic at a time, as
+    before lane plans existed.  Both arms run ``seq``, interleaved, best
+    of N, on the E-IR cube and the e2e cube.  Gate: both arms write the
+    same bytes, and the plan is at least 5x faster on the e2e cube.  The
+    VM times of the three §V stages on that cube, plans on, go into the
+    record."""
+
+    REPEATS = 3 if SMOKE else 7
+    SHAPES = ((20, 20, 200), (48, 48, 128))
+    GATE = 5.0
+
+    def test_lane_plan_beats_scalar_vector_code(self, tmp_path_factory,
+                                                monkeypatch):
+        load9 = load("fig9")
+        assert _FIG11_CLAUSES in load9, "fig9_transformed_mean.xc drifted"
+        stages = {}
+        for stage, clause in _FIG9_STAGES.items():
+            cr = compile_source(load9.replace(_FIG11_CLAUSES, clause),
+                                ["matrix", "transform"])
+            assert cr.ok, cr.diagnostics
+            stages[stage] = (cr, cr.bytecode())
+        cr, prog = stages["fig11 (split + vectorize + parallelize)"]
+        arms = {"plan": _SHIPPED_MIN_TRIP, "scalar": sys.maxsize}
+        entered = []
+        orig = loopfast.Plan.run
+
+        def counted(self, frame, stats=None):
+            entered.append(self.label)
+            return orig(self, frame, stats)
+        monkeypatch.setattr(loopfast.Plan, "run", counted)
+
+        def timed(cr, prog, wd):
+            entered.clear()
+            vm = VM(cr.lowered, cr.ctx, workdir=wd, nthreads=1,
+                    program=prog)
+            t0 = time.perf_counter()
+            rc = vm.run_main()
+            dt = time.perf_counter() - t0
+            assert rc == 0 and vm.stats.fastloop_bails == {}
+            vm.close()
+            return dt, read_rmat(wd / "means.data").tobytes()
+
+        rows = []
+        for shape in self.SHAPES:
+            wd = tmp_path_factory.mktemp("evec")
+            cube = np.random.default_rng(3).normal(
+                0, 1, shape).astype(np.float32)
+            write_rmat(wd / "ssh.data", cube)
+            secs = {arm: float("inf") for arm in arms}
+            outs, plans = {}, {}
+            for _ in range(self.REPEATS):
+                for arm, pinned in arms.items():
+                    monkeypatch.setattr(loopfast, "MIN_TRIP", pinned)
+                    dt, outs[arm] = timed(cr, prog, wd)
+                    secs[arm] = min(secs[arm], dt)
+                    plans[arm] = list(entered)
+            assert outs["plan"] == outs["scalar"], f"{shape}"
+            assert plans == {"plan": ["i,jout,jin fold k"], "scalar": []}
+            ratio = secs["scalar"] / secs["plan"]
+            rows.append({"shape": list(shape),
+                         "plan_seconds": round(secs["plan"], 5),
+                         "scalar_seconds": round(secs["scalar"], 5),
+                         "scalar_over_plan": round(ratio, 2)})
+            print(f"\nfig11 {shape}: plan={secs['plan']:.4f}s "
+                  f"scalar={secs['scalar']:.4f}s (scalar/plan {ratio:.2f})")
+        # the three stages on the e2e cube, plans on
+        monkeypatch.setattr(loopfast, "MIN_TRIP", _SHIPPED_MIN_TRIP)
+        stage_rows = []
+        for stage, (scr, sprog) in stages.items():
+            best = min(timed(scr, sprog, wd)[0] for _ in range(self.REPEATS))
+            stage_rows.append({"stage": stage, "shape": list(shape),
+                               "vm_seconds": round(best, 5)})
+            print(f"{stage}: {best:.4f}s")
+        _record_bench("E-VEC", repeats=self.REPEATS, rows=rows,
+                      stage_rows=stage_rows)
+        large = rows[-1]
+        assert large["scalar_over_plan"] >= self.GATE, \
+            f"lane plan only {large['scalar_over_plan']}x on " \
+            f"{large['shape']} (gate {self.GATE}x)"
 
 
 class TestMicro:

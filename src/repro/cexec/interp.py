@@ -330,7 +330,10 @@ class RTRuntime:
         if a.dims != b.dims:
             raise RuntimeTrap(f"{op} on shapes {a.dims} vs {b.dims}")
 
-    def rt_require_divisible(self, n, f, what) -> None:
+    @staticmethod
+    def rt_require_divisible(n, f, what) -> None:
+        # Pure (no runtime state), so a loopfast nest plan can evaluate
+        # it once to learn whether the scalar nest would trap.
         if f <= 0 or n % f != 0:
             raise RuntimeTrap(f"{what}: trip count {n} not divisible by {f}")
 
@@ -702,6 +705,7 @@ def run_program(
     and backend is observationally identical to ``nthreads=1``.
     """
     import tempfile
+    from contextlib import nullcontext
 
     from repro.api import compile_source
     from repro.cexec.parallel import resolve_nthreads
@@ -710,23 +714,28 @@ def run_program(
     cr = compile_source(source, extensions, options=options, nthreads=nthreads)
     if not cr.ok:
         raise InterpError("translation failed:\n" + "\n".join(cr.errors))
-    wd = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="repro-interp-"))
-    wd.mkdir(parents=True, exist_ok=True)
-    for name, arr in (inputs or {}).items():
-        write_rmat(wd / name, arr)
-    executor = make_engine(cr.lowered, cr.ctx, engine=engine,
-                           workdir=wd, nthreads=nthreads,
-                           parallel_backend=parallel_backend)
-    try:
-        rc = executor.run_main()
-    finally:
-        executor.close()  # quiesce and release any worker pool
-    prog = getattr(executor, "program", None)
-    if prog is not None:
-        executor.stats.opt_counts = dict(getattr(prog, "opt_counts", {}) or {})
-    outputs = {}
-    for name in output_names or []:
-        path = wd / name
-        if path.exists():
-            outputs[name] = read_rmat(path)
+    # A directory made here is removed on every exit, once the outputs
+    # are read; a caller's directory is left as it is.
+    with (nullcontext(workdir) if workdir
+          else tempfile.TemporaryDirectory(prefix="repro-interp-")) as wd:
+        wd = Path(wd)
+        wd.mkdir(parents=True, exist_ok=True)
+        for name, arr in (inputs or {}).items():
+            write_rmat(wd / name, arr)
+        executor = make_engine(cr.lowered, cr.ctx, engine=engine,
+                               workdir=wd, nthreads=nthreads,
+                               parallel_backend=parallel_backend)
+        try:
+            rc = executor.run_main()
+        finally:
+            executor.close()  # quiesce and release any worker pool
+        prog = getattr(executor, "program", None)
+        if prog is not None:
+            executor.stats.opt_counts = dict(
+                getattr(prog, "opt_counts", {}) or {})
+        outputs = {}
+        for name in output_names or []:
+            path = wd / name
+            if path.exists():
+                outputs[name] = read_rmat(path)
     return rc, outputs, executor.stats, executor

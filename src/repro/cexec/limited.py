@@ -159,13 +159,10 @@ def run_limited(
     ``outputs`` and the headline interpreter counters.
     """
     import tempfile
+    from contextlib import nullcontext
     from pathlib import Path
 
-    import numpy as np
-
     from repro.api import compile_source
-    from repro.cexec.interp import make_engine
-    from repro.cexec.rmat import read_rmat, write_rmat
 
     t0 = time.perf_counter()
 
@@ -186,9 +183,24 @@ def run_limited(
     if not cr.ok:
         return done(KIND_COMPILE_ERROR, errors=list(cr.errors), stdout=[])
 
-    wd = Path(workdir) if workdir else Path(
-        tempfile.mkdtemp(prefix="repro-serve-")
-    )
+    # A directory made here is removed on every exit, once the outputs
+    # are read; a caller's directory is left as it is.
+    with (nullcontext(workdir) if workdir
+          else tempfile.TemporaryDirectory(prefix="repro-serve-")) as wd:
+        return _run_in(cr, Path(wd), done, inputs=inputs,
+                       output_names=output_names, engine=engine,
+                       nthreads=nthreads, timeout_s=timeout_s,
+                       output_cap=output_cap)
+
+
+def _run_in(cr, wd, done, *, inputs, output_names, engine, nthreads,
+            timeout_s, output_cap) -> dict:
+    """:func:`run_limited`'s execution in the working directory ``wd``."""
+    import numpy as np
+
+    from repro.cexec.interp import make_engine
+    from repro.cexec.rmat import read_rmat, write_rmat
+
     wd.mkdir(parents=True, exist_ok=True)
     for name, data in (inputs or {}).items():
         arr = np.asarray(data, dtype=np.float32)

@@ -41,8 +41,9 @@ Exactness is non-negotiable: the plan's guard + compute phase is *pure*
 (no frame, matrix, or stats mutation) and every doubtful condition —
 non-integer bounds, out-of-range indices, aliasing between a stored and
 a loaded matrix (for a fold nest, any fold load from a matrix the nest
-stores to), overlapping stores, integer division, a non-float
-accumulator, a value an ``int32`` store would trap on — makes
+stores to), overlapping stores, integer division of vectors or by zero,
+a non-float accumulator, a value an ``int32`` store would trap on, a
+nest check that would trap — makes
 :meth:`Plan.run` return ``False`` *before anything is
 committed*, so the scalar bytecode loop compiled right behind the
 ``fastloop`` instruction reproduces the exact behavior, including traps
@@ -67,6 +68,29 @@ matrix when their index sets are identical (commit order = statement
 order, last write wins, exactly like the scalar body) or provably
 disjoint.
 
+**Lanes.**  The transform extension's 4-lane vector code (paper §V,
+Fig. 11) runs in the same plans with a trailing lane axis.  Its 11
+``rt_v*`` intrinsics evaluate as ``(n, 4)`` float32 arrays (``(4,)``
+when invariant) that compute exactly what the :class:`RTRuntime`
+methods compute: float32 arithmetic, ``rt_vsplatf``'s rounding of an
+int through float64, ``np.arange``'s float32 fill for ``rt_viotaf``,
+and a left-to-right ``rt_vsumf``.  A lane fold ``acc =
+rt_vaddf|rt_vmulf(acc, E)`` runs along a ``(rows, 1 + nk, 4)`` float32
+chain.  ``rt_vstoref``/``rt_vscatterf`` stores index ``i + lane *
+stride`` and pass the same range, injectivity, overlap and alias guards
+with the lanes as one more axis.  A float32 array is a lane value and
+nothing else is: a lane read where a scalar is expected, or the
+reverse, bails.
+
+**Nest checks.**  A nest level may open with pure checks
+(:data:`_NEST_CHECKS`, the split and vectorize transforms'
+``rt_require_divisible``) whose arguments read no loop variable.  The
+plan evaluates each once and bails when the scalar nest would run it
+(every loop around it has an iteration, even when a level inside is
+empty) and trap.  Integer ``/`` on two scalars evaluates with
+:func:`~repro.cexec.interp.c_div` and bails only on a zero divisor;
+integer division of vectors still bails.
+
 Allocation/copy/region stats are untouched by design: the matched
 statement forms never allocate, copy, or open pool regions.
 
@@ -87,6 +111,7 @@ from typing import Callable
 import numpy as np
 
 from repro.ag.tree import Node
+from repro.cexec.interp import RTRuntime, RuntimeTrap, c_div
 
 # Largest total trip count the fast path will materialize arrays for;
 # above this the scalar loop runs (slow but O(1) memory).  For a fold
@@ -102,17 +127,25 @@ MAX_TRIP = 1 << 24
 # benchmark (benchmarks/test_bench_interp.py) gates both sides.
 MIN_TRIP = 16
 
-# Most fold iterations a fold-nest plan materializes at once: its folds
-# run in blocks of whole outer rows up to this many iterations.  On
-# fig1's 128x128x256 cube (2-vCPU x86_64 VM) 64K-iteration blocks ran
-# fastest and kept the peak RSS of per-element plans; whole-shard
-# blocks ran 2.3x slower and tripled it (DESIGN S27, "Fold-nest plans").
+# Most fold elements a fold-nest plan materializes at once: its folds
+# run in blocks of whole outer rows up to this many iterations (a
+# quarter as many for a fold over 4-lane vectors).  On fig1's
+# 128x128x256 cube (2-vCPU x86_64 VM) 64K-iteration blocks ran fastest
+# and kept the peak RSS of per-element plans; whole-shard blocks ran
+# 2.3x slower and tripled it (DESIGN S27, "Fold-nest plans").  fig9's
+# lane plan on 48x48x128 ran in 5.5 ms with a 2.7 MB traced peak at 64K
+# elements, and in 9.3 ms with 7.6 MB at 64K iterations.
 FOLD_BLOCK = 1 << 16
 
 # Affine corner magnitudes past this bail instead of risking int64
 # wraparound in the vectorized index arithmetic (the scalar loop
 # computes with exact Python ints and traps on the range check).
 _AFFINE_MAG_CAP = 1 << 62
+
+# Lane offsets of a 4-lane vector, and the pure checks a nest level may
+# open with (evaluated once per plan run, see the module docstring).
+_LANES = np.arange(4, dtype=np.int64)
+_NEST_CHECKS = frozenset(["rt_require_divisible"])
 
 
 class _Bail(Exception):
@@ -155,21 +188,120 @@ def _as_f64(x):
     return np.float64(x)
 
 
-def _affine_eval(affine, rt, spans):
+def _is_lane(x) -> bool:
+    """A lane value: ``(4,)`` when invariant, ``(n, 4)`` per iteration."""
+    return isinstance(x, np.ndarray) and x.dtype == np.float32 \
+        and x.shape[-1:] == (4,)
+
+
+def _scalar_of(x):
+    if isinstance(x, np.ndarray) and x.dtype == np.float32:
+        raise _Bail("vector value where a scalar is expected")
+    return x
+
+
+def _lane_of(x):
+    if not _is_lane(x):
+        raise _Bail("scalar value where a vector is expected")
+    return x
+
+
+def _acc_ok(x) -> bool:
+    """A foldable accumulator: a float or one invariant lane vector."""
+    return isinstance(x, float) or (_is_lane(x) and x.ndim == 1)
+
+
+def _lane_index(base, stride, n: int) -> tuple[np.ndarray, int, int]:
+    """The ``(n, 4)`` lane indices ``base + lane * stride`` and exact
+    bounds on them.  The bounds come from the corners in Python ints, so
+    a caller that checks them against the matrix size also rules out
+    int64 wraparound in the array."""
+    base = _index_array(base, n)
+    if isinstance(stride, np.ndarray):
+        stride = _index_array(stride, n)
+        s_lo, s_hi = int(stride.min()), int(stride.max())
+        stride = stride[:, None]
+    elif _is_intlike(stride):
+        stride = s_lo = s_hi = int(stride)
+    else:
+        raise _Bail("non-integer lane stride")
+    b_lo, b_hi = int(base.min()), int(base.max())
+    return (base[:, None] + stride * _LANES,
+            min(b_lo, b_lo + 3 * s_lo), max(b_hi, b_hi + 3 * s_hi))
+
+
+def _splat(x):
+    """``rt_vsplatf`` of a scalar (the runtime's own ``np.full``) or of
+    one value per iteration."""
+    if not isinstance(x, np.ndarray):
+        return np.full(4, x, dtype=np.float32)
+    # np.full rounds a Python int through float64 on the way to float32
+    x = x.astype(np.float64, copy=False).astype(np.float32)
+    return np.broadcast_to(x[:, None], (x.size, 4))
+
+
+def _iota(b):
+    """``rt_viotaf``: ``np.arange(b, b + 4, dtype=np.float32)`` per base.
+    numpy rounds the first two values through float64 and fills the
+    rest as ``start + i * (second - start)`` in float32."""
+    if not isinstance(b, np.ndarray):
+        v = np.arange(b, b + 4, dtype=np.float32)
+        if v.shape != (4,):
+            raise _Bail("iota base gives no 4 lanes")
+        return v
+    if b.dtype.kind not in "iu" \
+            or max(-int(b.min()), int(b.max())) > _AFFINE_MAG_CAP:
+        raise _Bail("iota base not a small integer")
+    out = np.empty((b.size, 4), np.float32)
+    out[:, 0] = b.astype(np.float64)
+    out[:, 1] = (b + 1).astype(np.float64)
+    delta = out[:, 1] - out[:, 0]
+    out[:, 2] = out[:, 0] + np.float32(2) * delta
+    out[:, 3] = out[:, 0] + np.float32(3) * delta
+    return out
+
+
+def _fold_chain(init, e, rows: int, nk: int, op: str) -> np.ndarray:
+    """Fold ``nk`` terms per row into ``init`` and return each row's
+    result.  The ``(rows, 1 + nk)`` chain (``(rows, 1 + nk, 4)`` float32
+    for a lane accumulator) holds the initial value in its first column
+    and the terms ``e`` (one per row and step, or invariant) after it;
+    ``np.cumsum``/``np.cumprod`` along it accumulate strictly left to
+    right in the chain's dtype, like the scalar fold.  The first column
+    stays even when it is ``0.0``: the scalar ``0.0 + -0.0`` is ``+0.0``,
+    so a chain that started at the first term would keep a ``-0.0`` the
+    scalar does not."""
+    lane = _is_lane(init)
+    if lane != _is_lane(e):
+        raise _Bail("vector and scalar mixed in one fold")
+    tail = (4,) if lane else ()
+    chain = np.empty((rows, 1 + nk) + tail,
+                     np.float32 if lane else np.float64)
+    chain[:, 0] = init
+    each = isinstance(e, np.ndarray) and e.ndim > len(tail)
+    chain[:, 1:] = e.reshape((rows, nk) + tail) if each else e
+    scan = np.cumsum if op == "+" else np.cumprod
+    return scan(chain, axis=1, dtype=chain.dtype, out=chain)[:, -1]
+
+
+def _affine_eval(affine, rt, spans, lane=None):
     """Evaluate a compile-time affine form against the live iteration
     space: returns ``(idx, lo, hi, unique_proven)`` where ``idx`` is the
     full flattened int64 index vector, ``[lo, hi]`` the exact value
     interval (from the per-term corners — the form is separable), and
     ``unique_proven`` whether injectivity over the grid is discharged
-    without scanning."""
+    without scanning.  A lane store passes its integer ``lane`` stride:
+    the lanes are one more axis (4 values from 0), innermost in
+    ``idx``."""
     c0_ev, coeffs = affine
     c0 = c0_ev(rt)
     lo = hi = c0
     mag = abs(c0)
     terms = []
-    for name, cev in coeffs.items():
-        coef = cev(rt)
-        first, last, step, count = spans[name]
+    axes = [(name, cev(rt), spans[name]) for name, cev in coeffs.items()]
+    if lane is not None:
+        axes.append((None, lane, (0, 3, 1, 4)))
+    for name, coef, (first, last, step, count) in axes:
         a, b = coef * first, coef * last
         lo += min(a, b)
         hi += max(a, b)
@@ -179,8 +311,10 @@ def _affine_eval(affine, rt, spans):
         raise _Bail("affine index magnitude too large")
     idx = np.full(rt.n, c0, dtype=np.int64)
     for name, coef, step, count in terms:
-        if coef:
+        if coef and name is not None:
             idx += coef * rt.ivs[name]
+    if lane is not None:
+        idx = (idx[:, None] + lane * _LANES).reshape(-1)
     # Injectivity: every multi-trip axis must appear with a nonzero
     # stride, and each stride (ascending) must clear the combined value
     # span of the axes below it — blocks nest instead of interleaving.
@@ -189,7 +323,7 @@ def _affine_eval(affine, rt, spans):
 
     active = [(abs(coef * step), count) for _, coef, step, count in terms
               if count > 1 and coef != 0]
-    multi = sum(1 for s in spans.values() if s[3] > 1)
+    multi = sum(1 for s in spans.values() if s[3] > 1) + (lane is not None)
     unique = len(active) == multi and nest_injective(active)
     return idx, lo, hi, unique
 
@@ -237,17 +371,22 @@ class Plan:
     """A matched loop (nest): evaluator closures plus guarded commits."""
 
     def __init__(self, loops: list, stores: list, reductions: list,
-                 fold: FoldBody | None = None):
+                 fold: FoldBody | None = None, checks: list = ()):
         # loops: (var_name, start_ev, limit_ev, step:int, inclusive:bool)
         #        outermost first
-        # stores: (stmt_i, kind "f"|"i", mat_slot, idx_ev, val_ev, affine)
+        # stores: (stmt_i, kind "f"|"i"|"v", mat_slot, idx_ev, val_ev,
+        #          affine, stride_ev)
         #        affine: None | (const_ev, {var_name: coeff_ev})
+        #        stride_ev: a lane store's lane stride, else None
         # reductions: (stmt_i, acc_slot, op "+"|"*", ev)
         # fold: the innermost fold body of a fold nest, else None
+        # checks: (level, check, arg_evs) per nest check, run by the
+        #        scalar nest once per iteration of loops 0..level
         self.loops = loops
         self.stores = stores
         self.reductions = reductions
         self.fold = fold
+        self.checks = checks
         # Frame slots the evaluator closures read / the commits write —
         # the pinning contract the mid-level IR (S28) honors around the
         # opaque ``fastloop`` instruction.  Filled by try_fast_loop.
@@ -321,6 +460,13 @@ class Plan:
 
     def _compute(self, frame) -> list:
         axes, n = self._axes(frame)
+        for level, check, arg_evs in self.checks:
+            if all(count for *_, count in axes[:level + 1]):
+                rt0 = _Run(frame, {}, 1)
+                try:
+                    check(*[ev(rt0) for ev in arg_evs])
+                except RuntimeTrap:
+                    raise _Bail("nest check would trap") from None
         if n == 0:
             return []  # zero-trip space: nothing to run, nothing to skip
         if n > MAX_TRIP:
@@ -349,14 +495,25 @@ class Plan:
 
         # id(mat) -> list of (idx_array, stmt_i, lo, hi)
         stored: dict[int, list] = {}
-        for stmt_i, kind, mat_slot, idx_ev, val_ev, affine in self.stores:
+        for stmt_i, kind, mat_slot, idx_ev, val_ev, affine, stride_ev \
+                in self.stores:
             rt.stmt_i = stmt_i
             mat = frame[mat_slot]
             data = getattr(mat, "data", None)
             if not isinstance(data, np.ndarray):
                 raise _Bail("store target is not a matrix")
+            stride = None if stride_ev is None else stride_ev(rt)
             if affine is not None:
-                idx, lo, hi, unique = _affine_eval(affine, rt, spans)
+                if stride is not None \
+                        and not isinstance(stride, (int, np.integer)):
+                    raise _Bail("non-integer lane stride")
+                idx, lo, hi, unique = _affine_eval(
+                    affine, rt, spans, None if stride is None
+                    else int(stride))
+            elif stride is not None:
+                idx, lo, hi = _lane_index(idx_ev(rt), stride, n)
+                idx = idx.reshape(-1)
+                unique = False
             else:
                 idx = _index_array(idx_ev(rt), n)
                 lo, hi = int(idx.min()), int(idx.max())
@@ -384,7 +541,11 @@ class Plan:
                 raise _Bail("overlapping stores to one matrix")
             stored.setdefault(id(mat), []).append((idx, stmt_i, lo, hi))
             vals = val_ev(rt)
-            if kind == "f":
+            if kind == "v":
+                if data.dtype != np.float32:
+                    raise _Bail("vector store to an int matrix")
+                out = np.broadcast_to(vals, (n, 4)).reshape(-1)
+            elif kind == "f":
                 out = np.asarray(_as_f64(vals)).astype(np.float32)
             else:
                 v64 = np.asarray(_as_f64(vals))
@@ -401,22 +562,15 @@ class Plan:
         for stmt_i, acc_slot, op, ev in self.reductions:
             rt.stmt_i = stmt_i
             acc0 = frame[acc_slot]
-            if not isinstance(acc0, float):
+            if not _acc_ok(acc0):
                 raise _Bail("non-float accumulator")
             if acc_slot in accs:
                 raise _Bail("two reductions on one accumulator")
             accs[acc_slot] = stmt_i
-            e = ev(rt)
-            if isinstance(e, np.ndarray):
-                chain = np.concatenate(([acc0], _as_f64(e)))
-            else:
-                chain = np.concatenate(
-                    ([acc0], np.full(n, np.float64(e), dtype=np.float64)))
-            # cumsum/cumprod accumulate strictly left-to-right on f64,
-            # reproducing the scalar fold's rounding exactly (IEEE-754
-            # + and * are commutative, so `acc = E op acc` folds the same)
-            total = float(np.cumsum(chain)[-1] if op == "+"
-                          else np.cumprod(chain)[-1])
+            # one chain of n terms (IEEE-754 + and * are commutative, so
+            # `acc = E op acc` folds the same)
+            total = _fold_chain(acc0, ev(rt), 1, n, op)[0]
+            total = float(total) if isinstance(acc0, float) else total.copy()
             commits.append(
                 lambda frame=frame, s=acc_slot, t=total:
                     frame.__setitem__(s, t))
@@ -450,22 +604,18 @@ class Plan:
 def _fold_phase(fold: FoldBody, frame, ivs: dict, n: int) -> tuple[dict, set]:
     """Run every fold of a fold nest over the ``n`` flattened outer
     iterations (``ivs``).  Returns the bindings the stores evaluate
-    under — the locals as scalars, each accumulator as its f64 vector —
-    and the ids of the matrices the folds load from.
+    under — the locals as declared, each accumulator as its f64 vector
+    (``(n, 4)`` float32 for a lane accumulator) — and the ids of the
+    matrices the folds load from.
 
     A fold runs in blocks of whole outer rows of at most
-    :data:`FOLD_BLOCK` iterations (one row when the fold axis alone is
-    longer).  A block's ``(rows, 1 + nk)`` chain holds the initial value
-    in its first column and the folded terms after it, and
-    ``np.cumsum``/``np.cumprod`` along each row accumulates strictly left
-    to right, like the scalar fold.  The first column stays even when it
-    is ``0.0``: the scalar ``0.0 + -0.0`` is ``+0.0``, so a chain that
-    started at the first term would keep a ``-0.0`` the scalar does not.
+    :data:`FOLD_BLOCK` elements (one row when the fold axis alone is
+    longer), one :func:`_fold_chain` per block and accumulator.
     """
     binds, folds = fold.axes(frame)
     for *_, reds in folds:
         for _stmt_i, acc, _op, _ev in reds:
-            if not isinstance(binds[acc], float):
+            if not _acc_ok(binds[acc]):
                 raise _Bail("non-float accumulator")
     loaded: set[int] = set()
     accs: dict[str, np.ndarray] = {}
@@ -473,10 +623,11 @@ def _fold_phase(fold: FoldBody, frame, ivs: dict, n: int) -> tuple[dict, set]:
         if nk > MAX_TRIP:
             raise _Bail("trip count too large to materialize")
         for _stmt_i, acc, _op, _ev in reds:
-            accs[acc] = np.full(n, binds[acc])
+            accs[acc] = np.full((n,) + np.shape(binds[acc]), binds[acc])
         if nk == 0:
             continue
-        rows = max(1, FOLD_BLOCK // nk)
+        width = 4 if any(_is_lane(binds[r[1]]) for r in reds) else 1
+        rows = max(1, FOLD_BLOCK // (nk * width))
         ks = np.tile(np.arange(first, first + nk * step, step,
                                dtype=np.int64), min(rows, n))
         for r0 in range(0, n, rows):
@@ -488,13 +639,8 @@ def _fold_phase(fold: FoldBody, frame, ivs: dict, n: int) -> tuple[dict, set]:
             rt = _Run(frame, blk, (r1 - r0) * nk)
             for stmt_i, acc, op, ev in reds:
                 rt.stmt_i = stmt_i
-                e = ev(rt)
-                chain = np.empty((r1 - r0, 1 + nk))
-                chain[:, 0] = binds[acc]
-                chain[:, 1:] = e.reshape(r1 - r0, nk) \
-                    if isinstance(e, np.ndarray) else e
-                scan = np.cumsum if op == "+" else np.cumprod
-                accs[acc][r0:r1] = scan(chain, axis=1, out=chain)[:, -1]
+                accs[acc][r0:r1] = _fold_chain(binds[acc], ev(rt),
+                                               r1 - r0, nk, op)
             loaded.update(id(mat) for mat, _idx, _s in rt.loads)
     binds.update(accs)
     return binds, loaded
@@ -534,15 +680,30 @@ def _flatten_body(node: Node, out: list[Node]) -> bool:
     return True
 
 
-def _build_ev(fc, node, var_names):
+def _build_ev(fc, node, var_names, lane=False):
     """Expression -> evaluator closure ``rt -> scalar | ndarray``, or
     None when the expression is outside the vectorizable language.
     All frame slots are resolved here, at compile time; loop variables
-    (``var_names``) evaluate to their flattened index vectors."""
+    (``var_names``) evaluate to their flattened index vectors.  With
+    ``lane`` the expression must be a 4-lane vector: a name that holds
+    one, or an ``rt_v*`` intrinsic that makes one."""
     if not isinstance(node, Node):
         return None
     p = node.prod
     ch = node.children
+    if p == "var":
+        of = _lane_of if lane else _scalar_of
+        if ch[0] in var_names:
+            name = ch[0]
+            return lambda rt: of(rt.ivs[name])
+        slot = fc.lookup(ch[0])
+        if slot is None:
+            return None
+        return lambda rt: of(rt.frame[slot])
+    if p == "call":
+        return _build_call_ev(fc, node, var_names, lane)
+    if lane:
+        return None
     if p == "intLit":
         v = ch[0]
         return lambda rt: v
@@ -552,14 +713,6 @@ def _build_ev(fc, node, var_names):
     if p == "boolLit":
         v = int(ch[0])
         return lambda rt: v
-    if p == "var":
-        if ch[0] in var_names:
-            name = ch[0]
-            return lambda rt: rt.ivs[name]
-        slot = fc.lookup(ch[0])
-        if slot is None:
-            return None
-        return lambda rt: rt.frame[slot]
     if p == "binop":
         op = ch[0]
         a = _build_ev(fc, ch[1], var_names)
@@ -576,7 +729,12 @@ def _build_ev(fc, node, var_names):
             def div(rt, a=a, b=b):
                 x, y = a(rt), b(rt)
                 if _is_intlike(x) and _is_intlike(y):
-                    raise _Bail("integer division")  # c_div truncation
+                    if isinstance(x, np.ndarray) \
+                            or isinstance(y, np.ndarray):
+                        raise _Bail("integer division")
+                    if y == 0:
+                        raise _Bail("integer division by zero")
+                    return c_div(x, y)  # the scalar VM's own truncation
                 # IEEE 754 f64 division, zero divisors included (c_div)
                 return _as_f64(x) / _as_f64(y)
             return div
@@ -632,16 +790,70 @@ def _build_ev(fc, node, var_names):
                 return r.astype(np.float32).astype(np.float64)
             return float(np.float32(r))
         return tof32
-    if p == "call":
-        return _build_call_ev(fc, node, var_names)
     return None
 
 
-def _build_call_ev(fc, node: Node, var_names):
+# rt_v* arithmetic: float32 in, float32 out, as RTRuntime computes it
+_LANE_ARITH = {"rt_vaddf": np.add, "rt_vsubf": np.subtract,
+               "rt_vmulf": np.multiply, "rt_vdivf": np.divide}
+
+
+def _build_lane_call_ev(fc, name: str, args: list, var_names):
+    """The ``rt_v*`` intrinsics that make a 4-lane vector."""
+    if name in _LANE_ARITH and len(args) == 2:
+        a = _build_ev(fc, args[0], var_names, lane=True)
+        b = _build_ev(fc, args[1], var_names, lane=True)
+        if a is None or b is None:
+            return None
+        f = _LANE_ARITH[name]
+        return lambda rt: f(a(rt), b(rt))
+    if name in ("rt_vsplatf", "rt_viotaf") and len(args) == 1:
+        x = _build_ev(fc, args[0], var_names)
+        if x is None:
+            return None
+        f = _splat if name == "rt_vsplatf" else _iota
+        return lambda rt: f(x(rt))
+    if name not in ("rt_vloadf", "rt_vgatherf") \
+            or len(args) != (2 if name == "rt_vloadf" else 3) \
+            or args[0].prod != "var" or args[0].children[0] in var_names:
+        return None
+    mslot = fc.lookup(args[0].children[0])
+    idx_ev = _build_ev(fc, args[1], var_names)
+    stride_ev = (lambda rt: 1) if name == "rt_vloadf" \
+        else _build_ev(fc, args[2], var_names)
+    if mslot is None or idx_ev is None or stride_ev is None:
+        return None
+
+    def vload(rt):
+        mat = rt.frame[mslot]
+        data = getattr(mat, "data", None)
+        if not isinstance(data, np.ndarray):
+            raise _Bail("load source is not a matrix")
+        idx, lo, hi = _lane_index(idx_ev(rt), stride_ev(rt), rt.n)
+        if lo < 0 or hi >= data.size:
+            raise _Bail("load index out of range")
+        rt.loads.append((mat, idx.reshape(-1), rt.stmt_i))
+        return data[idx].astype(np.float32, copy=False)
+    return vload
+
+
+def _build_call_ev(fc, node: Node, var_names, lane=False):
     from repro.cminus.absyn import node_cons_to_list
 
     name = node.children[0]
     args = node_cons_to_list(node.children[1])
+    if lane:
+        return _build_lane_call_ev(fc, name, args, var_names)
+    if name == "rt_vsumf" and len(args) == 1:
+        v = _build_ev(fc, args[0], var_names, lane=True)
+        if v is None:
+            return None
+
+        def vsum(rt, v=v):
+            x = v(rt)
+            s = ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
+            return float(s) if x.ndim == 1 else s.astype(np.float64)
+        return vsum
     if name in ("rt_getf", "rt_geti"):
         if len(args) != 2 or args[0].prod != "var" \
                 or args[0].children[0] in var_names:
@@ -729,51 +941,79 @@ def _affine_form(fc, node, var_names):
                        is_node=lambda n: isinstance(n, Node))
 
 
+# The lane folds: acc = rt_vaddf|rt_vmulf(acc, E)
+_LANE_FOLDS = {"rt_vaddf": "+", "rt_vmulf": "*"}
+
+
 def _match_reduction(e: Node):
-    """``acc = acc (+|*) E`` / ``acc = E (+|*) acc`` where E does not
-    mention the accumulator.  Returns (acc_name, op, E) or None."""
+    """``acc = acc (+|*) E`` / ``acc = E (+|*) acc``, or the lane fold
+    ``acc = rt_vaddf|rt_vmulf(acc, E)``, where E does not mention the
+    accumulator.  Returns (acc_name, op, E, lane) or None."""
+    from repro.cminus.absyn import node_cons_to_list
+
     if e.prod != "assign" or e.children[0].prod != "var":
         return None
     acc = e.children[0].children[0]
     rhs = e.children[1]
-    if rhs.prod != "binop" or rhs.children[0] not in ("+", "*"):
-        return None
-    op, lhs_n, rhs_n = rhs.children
-    if lhs_n.prod == "var" and lhs_n.children[0] == acc:
-        other = rhs_n
-    elif rhs_n.prod == "var" and rhs_n.children[0] == acc:
-        other = lhs_n
+    if rhs.prod == "call" and rhs.children[0] in _LANE_FOLDS:
+        args = node_cons_to_list(rhs.children[1])
+        if len(args) != 2 or args[0].prod != "var" \
+                or args[0].children[0] != acc:
+            return None
+        op, other, lane = _LANE_FOLDS[rhs.children[0]], args[1], True
+    elif rhs.prod == "binop" and rhs.children[0] in ("+", "*"):
+        op, lhs_n, rhs_n = rhs.children
+        lane = False
+        if lhs_n.prod == "var" and lhs_n.children[0] == acc:
+            other = rhs_n
+        elif rhs_n.prod == "var" and rhs_n.children[0] == acc:
+            other = lhs_n
+        else:
+            return None
     else:
         return None
     if _refs_var(other, acc):
         return None
-    return acc, op, other
+    return acc, op, other, lane
+
+
+# Store intrinsic -> (kind, argument count)
+_STORES = {"rt_setf": ("f", 3), "rt_seti": ("i", 3),
+           "rt_vstoref": ("v", 3), "rt_vscatterf": ("v", 4)}
 
 
 def _match_store(fc, e: Node, stmt_i: int, var_names, affine_vars):
-    """``rt_setf``/``rt_seti(m, idx, val)`` -> a :class:`Plan` store, or
+    """``rt_setf``/``rt_seti(m, idx, val)``, ``rt_vstoref(m, idx, vec)``
+    or ``rt_vscatterf(m, idx, stride, vec)`` -> a :class:`Plan` store, or
     None.  ``var_names`` evaluate from the run's bindings; the index is
-    recognized as affine over ``affine_vars`` only when it reads no other
-    bound name."""
+    recognized as affine over ``affine_vars`` only when it (and a
+    scatter's stride) reads no other bound name."""
     from repro.cminus.absyn import node_cons_to_list
 
-    if e.prod != "call" or e.children[0] not in ("rt_setf", "rt_seti"):
+    if e.prod != "call" or e.children[0] not in _STORES:
         return None
+    kind, nargs = _STORES[e.children[0]]
     args = node_cons_to_list(e.children[1])
-    if len(args) != 3 or args[0].prod != "var" \
+    if len(args) != nargs or args[0].prod != "var" \
             or args[0].children[0] in var_names:
         return None
     mslot = fc.lookup(args[0].children[0])
     idx_ev = _build_ev(fc, args[1], var_names)
-    val_ev = _build_ev(fc, args[2], var_names)
-    if mslot is None or idx_ev is None or val_ev is None:
+    val_ev = _build_ev(fc, args[-1], var_names, lane=kind == "v")
+    stride_ev = None
+    if kind == "v":
+        stride_ev = (lambda rt: 1) if nargs == 3 \
+            else _build_ev(fc, args[2], var_names)
+    if mslot is None or idx_ev is None or val_ev is None \
+            or (kind == "v" and stride_ev is None):
         return None
-    kind = "f" if e.children[0] == "rt_setf" else "i"
     affine = None
-    if not any(_refs_var(args[1], v) for v in var_names
-               if v not in affine_vars):
+    if not any(_refs_var(a, v) for a in args[1:nargs - 1]
+               for v in var_names if v not in affine_vars) \
+            and not any(_refs_var(a, v) for a in args[2:nargs - 1]
+                        for v in affine_vars):
         affine = _affine_form(fc, args[1], affine_vars)
-    return stmt_i, kind, mslot, idx_ev, val_ev, affine
+    return stmt_i, kind, mslot, idx_ev, val_ev, affine, stride_ev
 
 
 # Bound expressions may be re-evaluated by the scalar loops (limits every
@@ -856,7 +1096,13 @@ class _SlotRecorder:
         return s
 
 
-def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
+def _is_lane_type(type_node: Node) -> bool:
+    return type_node.prod == "tRaw" \
+        and str(type_node.children[0]).strip() == "rt_v4f"
+
+
+def _match_fold_nest(fc, loops: list, outer: tuple, body: Node,
+                     checks: list):
     """Match a rectangular nest's innermost body against ``(declInit*
     for)+ store+``: declarations, fold loops whose bodies are flat
     reductions into accumulators declared there, then matrix stores.
@@ -864,7 +1110,8 @@ def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
     an outer loop variable, a declaration reads a loop variable, a store
     reads a fold variable, or an accumulator is read anywhere but in its
     own fold and the stores.  Each name binds as the scalar body would
-    see it at that statement: a local only after its declaration."""
+    see it at that statement: a local only after its declaration, and
+    an ``rt_v4f`` local as a lane vector."""
     stmts: list[Node] = []
     _stmt_list(body, stmts)
     local: list[str] = []          # declared names, in statement order
@@ -880,7 +1127,8 @@ def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
                     or not _limit_ok(init, _DECL_PRODS) \
                     or any(_refs_var(init, v) for v in (*outer, *fold_vars)):
                 return None
-            ev = _build_ev(fc, init, tuple(local))
+            ev = _build_ev(fc, init, tuple(local),
+                           lane=_is_lane_type(s.children[0]))
             if ev is None:
                 return None
             prefix.append((name, ev))
@@ -907,8 +1155,8 @@ def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
                 red = _match_reduction(e)
                 if red is None or red[0] not in local:
                     return None
-                acc, op, other = red
-                ev = _build_ev(fc, other, (*outer, var, *local))
+                acc, op, other, lane = red
+                ev = _build_ev(fc, other, (*outer, var, *local), lane)
                 if ev is None:
                     return None
                 reds.append((at, acc, op, ev))
@@ -930,7 +1178,7 @@ def _match_fold_nest(fc, loops: list, outer: tuple, body: Node):
     if not stores or not folds or len(set(accs)) != len(accs) \
             or any(_refs_var(n_, acc) for n_ in no_acc for acc in accs):
         return None
-    return Plan(loops, stores, [], FoldBody(prefix, folds))
+    return Plan(loops, stores, [], FoldBody(prefix, folds), checks)
 
 
 def try_fast_loop(fc, node: Node) -> Plan | None:
@@ -940,6 +1188,8 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
     own plan when the scalar body compiles it).  Called with the
     *enclosing* scope active — loop variables are never frame slots on
     this path."""
+    from repro.cminus.absyn import node_cons_to_list
+
     hdr = _parse_header(node)
     if hdr is None:
         return None
@@ -948,16 +1198,22 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
     if not _limit_ok(limit1):
         return None
     loops_src = [(v1, start1, limit1, step1, incl1)]
+    checks_src: list[tuple[int, Node]] = []   # (level, check call)
     # Rectangular nest: each level's body is exactly one inner for whose
-    # bounds are invariant across the whole nest (up to 3-D; the affine
-    # injectivity proof in nest_injective handles any depth, the cap
-    # just bounds compile-time matching).
+    # bounds are invariant across the whole nest, after any nest checks
+    # (up to 3-D; the affine injectivity proof in nest_injective handles
+    # any depth, the cap just bounds compile-time matching).
     while len(loops_src) < 3:
         nest_stmts: list[Node] = []
         _stmt_list(body, nest_stmts)
-        if len(nest_stmts) != 1 or nest_stmts[0].prod != "forStmt":
+        at = 0
+        while at < len(nest_stmts) and nest_stmts[at].prod == "exprStmt" \
+                and nest_stmts[at].children[0].prod == "call" \
+                and nest_stmts[at].children[0].children[0] in _NEST_CHECKS:
+            at += 1
+        if len(nest_stmts) != at + 1 or nest_stmts[at].prod != "forStmt":
             break
-        hdr_in = _parse_header(nest_stmts[0])
+        hdr_in = _parse_header(nest_stmts[at])
         if hdr_in is None:
             return None
         v2, start2, limit2, step2, incl2, body2 = hdr_in
@@ -967,6 +1223,8 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
                        for v in outer_vars) \
                 or not _limit_ok(start2) or not _limit_ok(limit2):
             return None
+        checks_src.extend((len(loops_src) - 1, s.children[0])
+                          for s in nest_stmts[:at])
         loops_src.append((v2, start2, limit2, step2, incl2))
         body = body2
     var_names = tuple(v for v, *_ in loops_src)
@@ -984,10 +1242,26 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
     reeval_bounds = [limit1]
     for _, s2, l2, _, _ in loops_src[1:]:
         reeval_bounds.extend((s2, l2))
+    # Nest checks read no loop variable, so one evaluation stands for
+    # every one the scalar nest makes; a string argument is the message.
+    checks = []
+    for level, c in checks_src:
+        arg_evs = []
+        for a in node_cons_to_list(c.children[1]):
+            if a.prod == "strLit":
+                arg_evs.append(lambda rt, text=a.children[0]: text)
+                continue
+            ev = _build_ev(fc, a, ())
+            if ev is None or not _limit_ok(a) \
+                    or any(_refs_var(a, v) for v in var_names):
+                return None
+            arg_evs.append(ev)
+            reeval_bounds.append(a)
+        checks.append((level, getattr(RTRuntime, c.children[0]), arg_evs))
 
     stmts: list[Node] = []
     if not _flatten_body(body, stmts) or not stmts:
-        plan = _match_fold_nest(fc, loops, var_names, body)
+        plan = _match_fold_nest(fc, loops, var_names, body, checks)
         if plan is not None:
             plan.read_slots = frozenset(fc.seen)
         return plan
@@ -1003,9 +1277,9 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
         red = _match_reduction(e)
         if red is None or red[0] in var_names:
             return None
-        acc, op, other = red
+        acc, op, other, lane = red
         slot = fc.lookup(acc)
-        ev = _build_ev(fc, other, var_names)
+        ev = _build_ev(fc, other, var_names, lane)
         if slot is None or ev is None:
             return None
         reductions.append((i, slot, op, ev))
@@ -1022,7 +1296,7 @@ def try_fast_loop(fc, node: Node) -> Plan | None:
             return None
     if len(set(acc_names)) != len(acc_names):
         return None
-    plan = Plan(loops, stores, reductions)
+    plan = Plan(loops, stores, reductions, checks=checks)
     plan.read_slots = frozenset(fc.seen)
     plan.write_slots = frozenset(slot for _i, slot, _op, _ev in reductions)
     return plan

@@ -8,6 +8,7 @@ fall back to the scalar loop and still produce exactly the tree-walker's
 behavior (including traps with correct partial state).
 """
 
+import sys
 import types
 
 import numpy as np
@@ -74,24 +75,28 @@ def program(*funcs):
     return N("root", tu), types.SimpleNamespace(lifted=[])
 
 
+def run_engine(eng, root, ctx, fname, make_args):
+    """Run ``fname`` on one engine with fresh args: (return value,
+    exception class and message, the arguments after the call)."""
+    ex = eng(root, ctx)
+    args = make_args()
+    exc, ret = None, None
+    try:
+        # Entered as run_main enters main: IEEE specials are silent.
+        with np.errstate(all="ignore"):
+            ret = ex.call_function(fname, args)
+    except Exception as e:  # traps must match class and message
+        exc = (type(e).__name__, str(e))
+    return ret, exc, [a.data.copy() if isinstance(a, RTMat) else a
+                      for a in args]
+
+
 def both_engines(root, ctx, fname, make_args):
     """Run ``fname`` on tree + vm with fresh args; assert identical
     results (return value, bit-identical matrix payloads) and return the
     vm result."""
-    results = []
-    for eng in (Interpreter, VM):
-        ex = eng(root, ctx)
-        args = make_args()
-        exc, ret = None, None
-        try:
-            # Entered as run_main enters main: IEEE specials are silent.
-            with np.errstate(all="ignore"):
-                ret = ex.call_function(fname, args)
-        except Exception as e:  # traps must match class and message
-            exc = (type(e).__name__, str(e))
-        results.append((ret, exc, [a.data.copy() if isinstance(a, RTMat)
-                                   else a for a in args]))
-    t, v = results
+    t, v = (run_engine(eng, root, ctx, fname, make_args)
+            for eng in (Interpreter, VM))
     assert t[0] == v[0], f"return {t[0]} vs {v[0]}"
     assert t[1] == v[1], f"exception {t[1]} vs {v[1]}"
     for ta, va in zip(t[2], v[2]):
@@ -1005,6 +1010,262 @@ class TestFoldNest:
         finally:
             tracemalloc.stop()
         assert peak < 3 * cube.nbytes, f"peak {peak / 2**20:.1f} MB"
+
+
+
+def bop(op, a, b):
+    return N("binop", op, a, b)
+
+
+def lanes_decl(name, init):
+    return N("declInit", N("tRaw", "rt_v4f"), name, init)
+
+
+class TestLanePlans:
+    """Lane plans: the transform extension's ``rt_v*`` vector code runs
+    inside loop, nest and fold-nest plans with a trailing lane axis.
+    Every case runs with every plan entered and compares byte for byte
+    with the tree walker (``both_engines``) and with the VM whose
+    ``MIN_TRIP`` is above every trip count, so no plan runs."""
+
+    @pytest.fixture()
+    def plan_calls(self, monkeypatch):
+        """(plan label, committed) for every ``Plan.run`` call."""
+        calls = []
+        orig = loopfast.Plan.run
+
+        def run(self, frame, stats=None):
+            ok = orig(self, frame, stats)
+            calls.append((self.label, ok))
+            return ok
+        monkeypatch.setattr(loopfast.Plan, "run", run)
+        return calls
+
+    @staticmethod
+    def three_ways(monkeypatch, root, ctx, make_args, fname="f"):
+        monkeypatch.setattr(loopfast, "MIN_TRIP", 0)
+        on = both_engines(root, ctx, fname, make_args)
+        monkeypatch.setattr(loopfast, "MIN_TRIP", sys.maxsize)
+        off = run_engine(VM, root, ctx, fname, make_args)
+        monkeypatch.setattr(loopfast, "MIN_TRIP", 0)
+        assert on[0] == off[0] and on[1] == off[1]
+        for a, b in zip(on[2], off[2]):
+            if isinstance(a, np.ndarray):
+                assert a.tobytes() == b.tobytes(), "plans-off VM differs"
+        return on
+
+    @staticmethod
+    def fn(body, params=(("rt_mat*", "a"), ("rt_mat*", "out"),
+                         ("long", "N"))):
+        return program(("f", list(params), slist(*body)))
+
+    def test_elementwise_intrinsics(self, monkeypatch, plan_calls):
+        # out[j..j+3] = ((a[j..] + s) * iota(j) / s) - splat(j), for j
+        # from a base past 2**24, where iota and splat round
+        base = (1 << 24) + 3
+        j0 = bop("-", var("j"), i(base))
+        body = [
+            lanes_decl("s", call("rt_vsplatf", fl(2.5))),
+            gen_loop("j", i(base), bop("+", var("N"), i(base)), [
+                N("exprStmt", call("rt_vstoref", var("out"), j0, call(
+                    "rt_vsubf", call("rt_vdivf", call(
+                        "rt_vmulf", call("rt_vaddf",
+                                         call("rt_vloadf", var("a"), j0),
+                                         var("s")),
+                        call("rt_viotaf", var("j"))), var("s")),
+                    call("rt_vsplatf", var("j")))))], step=4)]
+        root, ctx = self.fn(body)
+        a = np.random.default_rng(0).normal(0, 1e3, 64).astype(np.float32)
+        a[[3, 9, 17]] = [np.inf, np.nan, -0.0]
+        out = self.three_ways(monkeypatch, root, ctx, lambda: [
+            fmat(a), fmat(np.zeros(64)), 64])[2][1]
+        assert np.isinf(out[3]) and np.isnan(out[9])
+        assert plan_calls == [("j", True)]
+
+    def test_gather_scatter(self, monkeypatch, plan_calls):
+        # out[j + l*N] = a[3j + 2l] for lanes l: a strided gather and a
+        # scatter whose lanes are one more affine axis
+        body = [gen_loop("j", i(0), var("N"), [N("exprStmt", call(
+            "rt_vscatterf", var("out"), var("j"), var("N"),
+            call("rt_vgatherf", var("a"), bop("*", var("j"), i(3)),
+                 bop("+", i(1), i(1)))))])]
+        root, ctx = self.fn(body)
+        a = np.arange(3 * 20 + 8, dtype=np.float32)
+        out = self.three_ways(monkeypatch, root, ctx, lambda: [
+            fmat(a), fmat(np.zeros(80)), 20])[2][1]
+        assert list(out.reshape(4, 20)[:, 1]) == [3, 5, 7, 9]
+        assert plan_calls == [("j", True)]
+
+    def lane_fold_program(self, op, *, store="vsum", fold_from="a"):
+        """``for i < R, j < C { long lo = 0; rt_v4f acc = v0; for k < P
+        acc = op(acc, a[(i*C+j)*P*4 + 4k ..]); store }`` with ``v0 =
+        splat(x) * iota(0)`` made before the nest."""
+        idx = bop("+", bop("*", bop("*", bop("+", bop("*", var("i"),
+                                                       var("C")), var("j")),
+                                        var("P")), i(4)),
+                  bop("*", var("k"), i(4)))
+        ij = bop("+", bop("*", var("i"), var("C")), var("j"))
+        term = call("rt_vloadf", var(fold_from), idx)
+        if store == "vsum":
+            st = call("rt_setf", var("out"), ij, call("rt_vsumf", var("acc")))
+        else:
+            st = call("rt_vstoref", var("out"), bop("*", ij, i(4)),
+                      var("acc"))
+        body = [
+            lanes_decl("v0", call("rt_vmulf", call("rt_vsplatf", var("x")),
+                                  call("rt_viotaf", i(0)))),
+            for_loop("i", i(0), var("R"), [
+                for_loop("j", i(0), var("C"), [
+                    decl("lo", i(0), "long"), lanes_decl("acc", var("v0")),
+                    for_loop("k", var("lo"), var("P"), [N("exprStmt", N(
+                        "assign", var("acc"),
+                        call(op, var("acc"), term)))]),
+                    N("exprStmt", st)])])]
+        params = [("rt_mat*", "a"), ("rt_mat*", "out"), ("long", "R"),
+                  ("long", "C"), ("long", "P"), ("double", "x")]
+        return self.fn(body, params)
+
+    @pytest.mark.parametrize("op, x", [("rt_vaddf", 0.0), ("rt_vaddf", -0.0),
+                                       ("rt_vmulf", 0.5)])
+    @pytest.mark.parametrize("store", ["vsum", "vstore"])
+    def test_lane_folds(self, monkeypatch, plan_calls, op, x, store):
+        R, C, P = 3, 5, 20
+        rng = np.random.default_rng(4)
+        a = rng.normal(1, 0.2, R * C * P * 4).astype(np.float32)
+        # rows of inf, NaN and -0.0 lanes
+        a[:P * 4] = np.inf
+        a[P * 4:2 * P * 4:4] = np.nan
+        a[2 * P * 4:3 * P * 4] = -0.0
+        root, ctx = self.lane_fold_program(op, store=store)
+        size = R * C * (4 if store == "vstore" else 1)
+        out = self.three_ways(monkeypatch, root, ctx, lambda: [
+            fmat(a), fmat(np.zeros(size)), R, C, P, x])[2][1]
+        if store == "vstore" and op == "rt_vaddf":
+            # -0.0 initial lanes stay -0.0 over -0.0 terms, +0.0 do not
+            assert np.all(np.signbit(out[8:12]) == np.signbit(x))
+        assert plan_calls == [("i,j fold k", True)]
+
+    def test_fold_loading_the_stored_matrix_bails(self, monkeypatch,
+                                                  plan_calls):
+        root, ctx = self.lane_fold_program("rt_vaddf", store="vstore",
+                                           fold_from="out")
+        R, C, P = 2, 3, 2
+
+        def args():
+            return [fmat(np.ones(R * C * P * 4)),
+                    fmat(np.ones(R * C * P * 4)), R, C, P, 0.0]
+        self.three_ways(monkeypatch, root, ctx, args)
+        assert ("i,j fold k", False) in plan_calls
+        assert "load aliases a stored matrix" in vm_bail_reasons(
+            root, ctx, "f", args())
+
+    def test_lane_index_out_of_range_bails_with_scalar_error(
+            self, monkeypatch, plan_calls):
+        # the last rt_vloadf reads past the end: the scalar loop's short
+        # slice fails on the store, after the earlier stores
+        body = [gen_loop("j", i(0), var("N"), [N("exprStmt", call(
+            "rt_vstoref", var("out"), bop("*", var("j"), i(4)),
+            call("rt_vloadf", var("a"),
+                 bop("+", bop("*", var("j"), i(4)), i(2)))))])]
+        root, ctx = self.fn(body)
+
+        def args():
+            return [fmat(np.arange(24)), fmat(np.zeros(24)), 6]
+        v = self.three_ways(monkeypatch, root, ctx, args)
+        assert v[1][0] == "ValueError"
+        assert list(v[2][1][:4]) == [2, 3, 4, 5]
+        assert plan_calls == [("j", False)]
+        assert "load index out of range" in vm_bail_reasons(
+            root, ctx, "f", args())
+
+    def split_nest(self, limit):
+        """``out[0] = 7; for i < R { rt_require_divisible(C, 4, "split
+        j"); for jout < limit; for jin < 4: out[i*C + jout*4 + jin] =
+        a[..]; }``"""
+        idx = bop("+", bop("*", var("i"), var("C")),
+                  bop("+", bop("*", var("jout"), i(4)), var("jin")))
+        body = [
+            N("exprStmt", call("rt_setf", var("out"), i(0), fl(7.0))),
+            for_loop("i", i(0), var("R"), [
+                N("exprStmt", call("rt_require_divisible", var("C"), i(4),
+                                   N("strLit", "split j"))),
+                for_loop("jout", i(0), limit, [
+                    for_loop("jin", i(0), i(4), [N("exprStmt", call(
+                        "rt_setf", var("out"), idx,
+                        bop("+", call("rt_getf", var("a"), idx),
+                            fl(1.0))))])])])]
+        return self.fn(body, [("rt_mat*", "a"), ("rt_mat*", "out"),
+                              ("long", "R"), ("long", "C"), ("long", "D")])
+
+    @pytest.mark.parametrize("R, C", [(3, 18), (3, 2), (0, 18), (3, 8)])
+    def test_nest_check(self, monkeypatch, plan_calls, R, C):
+        # (3, 2): the jout level is empty, but the scalar nest still runs
+        # the check once per row and traps; with no row it never runs
+        root, ctx = self.split_nest(bop("/", var("C"), var("D")))
+
+        def args():
+            return [fmat(np.arange(max(R * C, 1))),
+                    fmat(np.zeros(max(R * C, 1))), R, C, 4]
+        v = self.three_ways(monkeypatch, root, ctx, args)
+        traps = R > 0 and C % 4 != 0
+        assert plan_calls == [("i,jout,jin", not traps)]
+        if traps:
+            assert v[1] == ("RuntimeTrap",
+                            f"split j: trip count {C} not divisible by 4")
+            assert v[2][1][0] == 7.0  # the store before the nest ran
+            assert vm_bail_reasons(root, ctx, "f", args()) == \
+                {"nest check would trap": 1}
+        else:
+            assert v[1] is None
+
+    def test_zero_integer_divisor_in_a_bound_bails(self, monkeypatch,
+                                                   plan_calls):
+        root, ctx = self.split_nest(bop("/", var("C"), var("D")))
+
+        def args():
+            return [fmat(np.arange(24)), fmat(np.zeros(24)), 3, 8, 0]
+        v = self.three_ways(monkeypatch, root, ctx, args)
+        assert v[1] == ("RuntimeTrap", "integer division by zero")
+        # the nest plan bails, then the scalar row's own jout plan; an
+        # unknown trip count enters both even with MIN_TRIP raised
+        assert plan_calls == [("i,jout,jin", False), ("jout,jin", False)] * 2
+        assert vm_bail_reasons(root, ctx, "f", args()) == \
+            {"integer division by zero": 2}
+
+    @pytest.mark.parametrize("clause", [
+        "transform split j by 4, jin, jout",
+        "transform split j by 4, jin, jout. vectorize jin",
+        "transform split j by 4, jin, jout. vectorize jin. parallelize i",
+    ], ids=["fig10", "fig11", "fig11-parallelize"])
+    def test_fig9_forms_enter_one_plan(self, monkeypatch, plan_calls,
+                                       clause):
+        from repro.cexec.interp import run_program
+        from repro.programs import load
+
+        src = load("fig9").replace(
+            "transform split j by 4, jin, jout.\n"
+            "                  vectorize jin.\n"
+            "                  parallelize i", clause)
+        assert clause in src
+        cube = np.random.default_rng(6).normal(
+            0, 1, (16, 16, 40)).astype(np.float32)
+        outs, ledgers = [], []
+        for engine, min_trip in (("tree", loopfast.MIN_TRIP),
+                                 ("vm", loopfast.MIN_TRIP),
+                                 ("vm", sys.maxsize)):
+            monkeypatch.setattr(loopfast, "MIN_TRIP", min_trip)
+            plan_calls.clear()
+            _rc, files, st, _ex = run_program(
+                src, ["matrix", "transform"], {"ssh.data": cube},
+                output_names=["means.data"], nthreads=1, engine=engine)
+            outs.append(files["means.data"].tobytes())
+            ledgers.append((list(plan_calls), st.fastloop_bails))
+        assert outs[0] == outs[1] == outs[2]
+        assert ledgers[1] == ([("i,jout,jin fold k", True)], {})
+        assert ledgers[2] == ([], {})
+        cr = compile_source(src, ["matrix", "transform"])
+        dis = BytecodeProgram(cr.lowered, cr.ctx).code_for("main").dis()
+        assert "<plan i,jout,jin fold k: 2 steps>" in dis
 
 
 class TestSharedProgram:

@@ -110,6 +110,23 @@ def two_folds_cube(seed, shape):
     return np.random.default_rng(seed).normal(1, 0.1, shape).astype(np.float32)
 
 
+# fig9's §V stages: Fig. 10 splits j, Fig. 11 (the shipped program) also
+# vectorizes jin, so its fold nest runs as a lane plan.
+FIG9_FORMS = {
+    "fig10": load("fig9").replace(
+        "transform split j by 4, jin, jout.\n"
+        "                  vectorize jin.\n"
+        "                  parallelize i", "transform split j by 4, jin, jout"),
+    "fig11": load("fig9"),
+}
+assert "vectorize jin" not in FIG9_FORMS["fig10"]
+
+
+def fig9_cube(seed, shape=(6, 8, 20)):
+    """k >= 16, so the shipped MIN_TRIP enters the nest plan too."""
+    return np.random.default_rng(seed).normal(0, 1, shape).astype(np.float32)
+
+
 class TestExampleCorpus:
     def test_fig1_temporal_mean(self):
         cube = np.random.default_rng(0).normal(
@@ -146,6 +163,12 @@ class TestExampleCorpus:
         t, v = run_both(load("fig9"), ("matrix", "transform"),
                         {"ssh.data": c}, ["means.data"])
         assert_identical(t, v, "fig9")
+
+    @pytest.mark.parametrize("form", sorted(FIG9_FORMS))
+    def test_fig9_split_and_vector_forms(self, form):
+        t, v = run_both(FIG9_FORMS[form], ("matrix", "transform"),
+                        {"ssh.data": fig9_cube(4)}, ["means.data"])
+        assert_identical(t, v, form)
 
     def test_fig1_library_baseline_options(self):
         from repro.api import Optimizations
@@ -227,6 +250,13 @@ class TestParallelIdentity:
                                 {"ssh.data": cube}, ["out.data"])
         assert_identical(seq, par, "two-folds-par")
         assert seq[2][3] >= 1
+
+    @pytest.mark.parametrize("form", sorted(FIG9_FORMS))
+    def test_fig9_forms_identical_at_4_workers(self, form):
+        seq, par = self.vm_pair(FIG9_FORMS[form], ("matrix", "transform"),
+                                {"ssh.data": fig9_cube(5, (7, 12, 33))},
+                                ["means.data"])
+        assert_identical(seq, par, f"{form}-par")
 
     def test_fig8_identical_at_4_workers(self):
         data = synthetic_ssh((5, 6, 32), n_eddies=2, seed=3)
