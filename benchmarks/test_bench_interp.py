@@ -23,6 +23,11 @@ fig8 runs is timed with its plan forced on and forced off; the scalar
 loop must win at ``MIN_TRIP // 4`` iterations and the plan at
 ``8 * MIN_TRIP``, with identical outputs.
 
+E-DSP (S29): compiled functions against the closure stream
+(``REPRO_NO_QUICKEN=1``) on the scalar-dominated workloads; gate >=1.5x
+geomean.  E-CG: what generating that code costs a serve worker, which
+compiles every request afresh; gate: not slower than the closures.
+
 E-VEC (S27): lane plans.  fig9's Fig. 11 form runs with its plans on
 and forced off; the plan must be >=5x faster on the e2e cube, with
 identical outputs.  The VM times of the three §V stages are recorded.
@@ -301,9 +306,9 @@ class TestIROptimizer:
 
 
 class TestDispatchSpecialization:
-    """E-DSP: the S29 dispatch-specialization layer (superinstructions,
-    bind-time jump threading, arity-specialized intrinsics) against the
-    same -O2 program run by the generic VM (``REPRO_NO_QUICKEN=1``).
+    """E-DSP: the S29 compiled functions (each function's bytecode run
+    as one generated Python function) against the same -O2 program run
+    by the generic closure stream (``REPRO_NO_QUICKEN=1``).
 
     Scalar-dominated workloads only, for the same reason as the E-IR
     wall gate: fig1/fig8 run inside numpy fastloop plans where dispatch
@@ -385,6 +390,76 @@ class TestDispatchSpecialization:
         assert gm >= self.WALL_GATE, \
             f"specialization only {gm:.2f}x over generic VM " \
             f"(gate {self.WALL_GATE}x)"
+
+
+class TestCodegenOverhead:
+    """E-CG: code generation on a serve worker's path.  serve-mix's
+    smallest request (mandelbrot 8x12, maxIter 30) runs as a worker runs
+    it — a fresh ``compile_source``, ``make_engine`` and ``run_main``
+    each time — with compiled functions and with the closure stream
+    (``REPRO_NO_QUICKEN=1``), interleaved, best of N.  Gate: compiled is
+    not slower.  A freshly compiled copy of a program finds its code in
+    the process-wide cache, so only a worker's first request of each
+    program pays the generator and CPython's ``compile``; that first
+    run is recorded as ``cold_seconds``."""
+
+    REPEATS = 5 if SMOKE else 15
+
+    @staticmethod
+    def _source() -> str:
+        src = load("mandelbrot")
+        for old, new in (("int h = 40;", "int h = 8;"),
+                         ("int w = 60;", "int w = 12;"),
+                         ("int maxIter = 80;", "int maxIter = 30;")):
+            assert old in src, f"mandelbrot.xc drifted: {old!r} missing"
+            src = src.replace(old, new)
+        return src
+
+    def test_compiled_not_slower_per_request(self, tmp_path_factory,
+                                             monkeypatch):
+        from repro.cexec import pyfunc
+
+        src = self._source()
+        wd = tmp_path_factory.mktemp("ecg")
+
+        def request() -> tuple[float, bytes]:
+            t0 = time.perf_counter()
+            cr = compile_source(src, ["matrix"])
+            ex = cr.make_engine(workdir=wd, nthreads=1)
+            try:
+                assert ex.run_main() == 0
+            finally:
+                ex.close()
+            return (time.perf_counter() - t0,
+                    read_rmat(wd / "mandel.data").tobytes())
+
+        # Warm the translator first, so the cold run pays only for the
+        # compiled functions it has to generate.
+        monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
+        _, want = request()
+        monkeypatch.setenv("REPRO_NO_QUICKEN", "0")
+        monkeypatch.setattr(pyfunc, "_cache", type(pyfunc._cache)())
+        cold, got = request()
+        assert got == want
+        secs = {"closures": float("inf"), "compiled": float("inf")}
+        for _ in range(self.REPEATS):
+            for arm, env in (("closures", "1"), ("compiled", "0")):
+                monkeypatch.setenv("REPRO_NO_QUICKEN", env)
+                dt, got = request()
+                assert got == want, arm
+                secs[arm] = min(secs[arm], dt)
+        ratio = secs["closures"] / secs["compiled"]
+        _record_bench("E-CG", request="mandelbrot 8x12 maxIter 30",
+                      repeats=self.REPEATS,
+                      closures_seconds=round(secs["closures"], 5),
+                      compiled_seconds=round(secs["compiled"], 5),
+                      cold_seconds=round(cold, 5),
+                      closures_over_compiled=round(ratio, 3))
+        print(f"\nclosures={secs['closures']:.4f}s "
+              f"compiled={secs['compiled']:.4f}s cold={cold:.4f}s "
+              f"({ratio:.3f}x)")
+        assert ratio >= 1.0, \
+            f"compiled functions {ratio:.3f}x the closure stream per request"
 
 
 # E-XO: the four plan shapes fig8 runs, each executed 400 times by the
@@ -502,9 +577,9 @@ class TestFoldNest:
             if not nest:
                 mp.setattr(loopfast, "_match_fold_nest", lambda *a: None)
             for name in prog.functions:
-                prog.spec_code_for(name)
+                prog.code_for(name)
             for name in prog.lifted_trees:
-                prog.spec_lifted_code_for(name)
+                prog.lifted_code_for(name)
         return prog
 
     def test_nest_plan_beats_per_element_plans(self, tmp_path_factory,

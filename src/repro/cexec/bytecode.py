@@ -18,10 +18,12 @@ names.  This module pays all of those costs *once*, at compile time:
   argument-list packing at all).
 
 Instructions are symbolic tuples ``(op, operands...)`` — easy to test
-and disassemble; the VM (:mod:`repro.cexec.vm`) binds them to closures
-("threaded code") for dispatch.  Innermost loops additionally get a
-guarded numpy fast path (:mod:`repro.cexec.loopfast`) attached as a
-``fastloop`` instruction in front of the scalar loop they shadow.
+and disassemble; the VM (:mod:`repro.cexec.vm`) compiles each function
+into one Python function (:mod:`repro.cexec.pyfunc`), or binds it to
+closures ("threaded code") for the generic stream.  Innermost loops
+additionally get a guarded numpy fast path (:mod:`repro.cexec.loopfast`)
+attached as a ``fastloop`` instruction in front of the scalar loop they
+shadow.
 
 Frame layout: slot 0 is the return value, parameters occupy slots
 1..len(params), locals and expression temporaries follow.
@@ -597,7 +599,6 @@ class BytecodeProgram:
         self._code: dict[str, Code] = {}
         self._lifted_code: dict[str, Code] = {}
         self._spec_code: dict[str, Code] = {}
-        self._spec_lifted_code: dict[str, Code] = {}
         self._safety = None
         # Re-entrant: building ``safety`` compiles code through code_for.
         self._lock = threading.RLock()
@@ -663,12 +664,11 @@ class BytecodeProgram:
                               lambda n: self._compile(self.lifted_trees, n))
         return code
 
-    # -- dispatch specialization (S29) ---------------------------------------
+    # -- superinstruction fusion (S29) ---------------------------------------
     #
-    # The fused stream is a *separate* memoized view over the optimized
-    # bytecode: execution (and disassembly) consume it, while the hazard
-    # and call-graph analyses keep scanning ``code_for`` — a fused "si"
-    # tuple would hide its constituent traps/calls from them.
+    # The fused stream is a separate memoized view over the optimized
+    # bytecode.  Nothing executes it (the VM compiles ``code_for``); the
+    # e2e benchmark's compile stream still times building it.
 
     def _specialize(self, code: Code) -> Code:
         from repro.cexec import superinstr
@@ -684,14 +684,6 @@ class BytecodeProgram:
         if code is None:
             code = self._memo(self._spec_code, name,
                               lambda n: self._specialize(self.code_for(n)))
-        return code
-
-    def spec_lifted_code_for(self, name: str) -> Code:
-        code = self._spec_lifted_code.get(name)
-        if code is None:
-            code = self._memo(
-                self._spec_lifted_code, name,
-                lambda n: self._specialize(self.lifted_code_for(n)))
         return code
 
     # -- parallel eligibility (S23, shared analysis since S25) ---------------

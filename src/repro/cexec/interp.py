@@ -40,6 +40,12 @@ class RuntimeTrap(InterpError):
     """A runtime check failed (the C runtime would exit(2))."""
 
 
+#: Faults the engines let numpy/Python raise raw (out-of-range accesses,
+#: arithmetic faults); a caller running a program reports them as its
+#: trap, like :class:`RuntimeTrap`.
+RAW_TRAPS = (IndexError, ZeroDivisionError, OverflowError)
+
+
 @dataclass
 class RTMat:
     kind: str  # "f" | "i"
@@ -76,6 +82,10 @@ class InterpStats:
     # regions that ran sequentially instead of on the worker pool.
     fastloop_bails: dict[str, int] = field(default_factory=dict)
     shard_bails: dict[str, int] = field(default_factory=dict)
+    # Functions the VM ran on its closure stream because the S29
+    # compiler refused them ("name: reason" -> binds).  NOT part of the
+    # engine-differential contract: only the compiled VM records it.
+    compile_bails: dict[str, int] = field(default_factory=dict)
     # Dynamic VM instructions retired (only populated when the VM runs
     # in counting mode, e.g. under the E-IR benchmark); NOT part of the
     # engine-differential contract — O0 and O2 legitimately differ here.
@@ -102,7 +112,8 @@ class InterpStats:
         return self.allocs - self.frees
 
     def bail(self, which: str, reason: str) -> None:
-        d = self.fastloop_bails if which == "fastloop" else self.shard_bails
+        d = (self.fastloop_bails if which == "fastloop" else
+             self.compile_bails if which == "compile" else self.shard_bails)
         d[reason] = d.get(reason, 0) + 1
 
     def merge(self, other: "InterpStats") -> "InterpStats":
@@ -169,6 +180,19 @@ class Scope:
 
     def declare(self, name: str, value: Any) -> None:
         self.vars[name] = value
+
+
+def _strided_lanes(i, stride) -> list[int]:
+    i, stride = int(i), int(stride)
+    return [i, i + stride, i + 2 * stride, i + 3 * stride]
+
+
+def _check_lanes(what: str, m: "RTMat", lanes) -> None:
+    size = m.data.size
+    for lane in lanes:
+        if not 0 <= lane < size:
+            raise RuntimeTrap(f"vector {what} lane index {lane} outside "
+                              f"a matrix of {size} elements")
 
 
 def c_div(a, b):
@@ -354,21 +378,29 @@ class RTRuntime:
     def rt_viotaf(self, base):
         return np.arange(base, base + 4, dtype=np.float32)
 
+    # Each lane must index the matrix: a short slice or a wrapped
+    # negative index would otherwise surface later as a raw numpy error
+    # or silently read the wrong element.
+
     def rt_vloadf(self, m: RTMat, i):
         i = int(i)
+        _check_lanes("load", m, (i, i + 3))
         return m.data[i:i + 4].astype(np.float32)
 
     def rt_vstoref(self, m: RTMat, i, v):
         i = int(i)
+        _check_lanes("store", m, (i, i + 3))
         m.data[i:i + 4] = v
 
     def rt_vgatherf(self, m: RTMat, i, stride):
-        i, stride = int(i), int(stride)
-        return m.data[[i, i + stride, i + 2 * stride, i + 3 * stride]].astype(np.float32)
+        lanes = _strided_lanes(i, stride)
+        _check_lanes("gather", m, lanes)
+        return m.data[lanes].astype(np.float32)
 
     def rt_vscatterf(self, m: RTMat, i, stride, v):
-        i, stride = int(i), int(stride)
-        m.data[[i, i + stride, i + 2 * stride, i + 3 * stride]] = v
+        lanes = _strided_lanes(i, stride)
+        _check_lanes("scatter", m, lanes)
+        m.data[lanes] = v
 
     def rt_vaddf(self, a, b):
         return a + b

@@ -29,7 +29,7 @@ import threading
 import time
 from typing import Any
 
-from repro.cexec.interp import InterpError, RuntimeTrap
+from repro.cexec.interp import RAW_TRAPS, InterpError, RuntimeTrap
 
 #: Result ``kind`` values, in order of increasing severity.
 KIND_OK = "ok"
@@ -230,7 +230,7 @@ def _run_in(cr, wd, done, *, inputs, output_names, engine, nthreads,
                             stdout=list(capped))
             except InterpError as e:
                 return done(KIND_INTERNAL, error=str(e), stdout=list(capped))
-            except (IndexError, ZeroDivisionError, OverflowError) as e:
+            except RAW_TRAPS as e:
                 # The VM lets numpy/Python surface bounds and arithmetic
                 # faults raw; to a daemon they are program traps, not bugs.
                 return done(KIND_TRAP, error=f"runtime error: {e}",

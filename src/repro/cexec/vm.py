@@ -5,22 +5,25 @@ the same :class:`~repro.cexec.interp.RTRuntime` the tree-walker uses, so
 observable behavior — stdout, stats counters, runtime traps, RMAT
 outputs — is byte-for-byte identical to the reference interpreter.
 
-Dispatch is *threaded code*: at bind time every symbolic instruction is
-turned into a closure ``frame -> next_pc`` with its operands (and, for
-intrinsics, the resolved bound method) captured, so the hot loop is just
+By default (S29) :func:`bind` translates each function's bytecode into
+one generated Python function (:mod:`repro.cexec.pyfunc`): frame slots
+become locals and jumps become structured ``while``/``if``, so a call
+runs as plain CPython bytecode.  The generic stream
+(``REPRO_NO_QUICKEN=1``), the counting stream (``REPRO_COUNT_INSTRS=1``)
+and any function CPython refuses run as *threaded code* instead: one
+closure ``frame -> next_pc`` per instruction, so the hot loop is just
 
     while pc < n:
         pc = ops[pc](frame)
 
-with no opcode decoding, no dict lookups and no exception-based control
-flow.  Innermost loops whose bodies were recognized by
+Innermost loops whose bodies were recognized by
 :mod:`repro.cexec.loopfast` execute as batched numpy slice operations
 and fall through into their scalar bytecode when a guard fails.
 
 Parallel execution (S23): with ``nthreads > 1`` the VM owns a persistent
 :class:`repro.cexec.parallel.WorkerPool`.  Pool regions (`parallelize`d
 with-loops, matrixMap) shard the outermost iteration space across the
-workers — each shard runs the *same* bound closures on its own frame,
+workers — each shard runs the *same* bound function on its own frame,
 with stats/stdout redirected to thread-local buffers that are merged
 left-to-right afterwards, so a pooled run is observationally identical
 to a sequential one (bit-identical outputs, stdout order, counters,
@@ -31,6 +34,7 @@ and elides the rest inline.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import weakref
@@ -40,7 +44,7 @@ import numpy as np
 
 from repro.ag.tree import Node
 from repro.analysis.hazards import PROCESS_BLOCKERS
-from repro.cexec import loopfast, superinstr
+from repro.cexec import loopfast, pyfunc
 from repro.cexec.bytecode import BytecodeProgram, Code
 from repro.cexec.interp import (
     InterpError, InterpStats, RTMat, RTRuntime, c_div, c_mod,
@@ -78,10 +82,10 @@ class VM(RTRuntime):
         self._main_stdout: list[str] = []
         super().__init__(workdir=workdir, nthreads=nthreads)
         self.program = program or BytecodeProgram(lowered_root, ctx)
-        # name -> (bound ops, nregs, nparams) for functions; name ->
-        # (bound ops, nregs) for lifted pool-worker bodies.
+        # name -> (bound function, nparams) for functions; name -> bound
+        # function for lifted pool-worker bodies (see bind).
         self._fns: dict[str, tuple] = {}
-        self._lifted: dict[str, tuple] = {}
+        self._lifted: dict = {}
         self._backend = resolve_backend(parallel_backend)
         self._pool = None
         self._pool_finalizer = None
@@ -94,13 +98,10 @@ class VM(RTRuntime):
         self.process_regions = 0
         self._shm_seq = 0
         self._closed = False
-        # S29 dispatch specialization: superinstruction fusion, bind-time
-        # jump threading and arity-specialized intrinsics.
-        # REPRO_NO_QUICKEN=1 selects the generic reference stream.  A
-        # counting VM executes the generic stream too: fusion's jump
-        # threading and mid-group early exits genuinely retire fewer
-        # dispatches, which would skew the dynamic-instruction totals
-        # the E-IR gates compare across optimizer levels.
+        # S29 compiled functions.  REPRO_NO_QUICKEN=1 selects the generic
+        # closure stream.  A counting VM executes the closure stream too:
+        # it counts one dispatch per instruction, the totals the E-IR
+        # gates compare across optimizer levels.
         self._counting = env_flag("REPRO_COUNT_INSTRS")
         self._spec = not (env_flag("REPRO_NO_QUICKEN") or self._counting)
         if self._counting:
@@ -169,38 +170,33 @@ class VM(RTRuntime):
                 self._drain_tasks()
         return int(out) if out is not None else 0
 
-    # The instruction stream this VM executes is the superinstruction-
-    # fused one when specialization is on, the plain S28-optimized one
-    # otherwise.  Analysis consumers (callgraph hazard scans,
-    # fingerprints) keep using ``code_for``: fusion must never hide a
-    # trap or call from them.  Binding is benign under concurrency: it
-    # is deterministic, so losers of the (atomic) dict race just rebuilt
-    # an equal entry.
+    # Every function runs from its S28-optimized bytecode (``code_for``);
+    # the analyses scan the same stream.  Binding is benign under
+    # concurrency: it is deterministic, so losers of the (atomic) dict
+    # race just rebuilt an equal entry.
 
     def call_function(self, name: str, args: list):
         fn = self._fns.get(name)
         if fn is None:
-            p = self.program
-            code = p.spec_code_for(name) if self._spec else p.code_for(name)
-            fn = self._fns[name] = (bind(code, self), code.nregs,
-                                    len(code.params))
-        ops, nregs, nparams = fn
+            code = self.program.code_for(name)
+            fn = self._fns[name] = (bind(code, self), len(code.params))
+        entry, nparams = fn
         if nparams != len(args):
             raise InterpError(
                 f"{name}: expected {nparams} args, got {len(args)}")
-        return self._run(ops, nregs, args)
+        return entry(*args)
 
-    def _lifted_fn(self, fname: str) -> tuple:
-        """(bound ops, nregs) of one lifted pool-worker body."""
-        fn = self._lifted.get(fname)
-        if fn is None:
-            p = self.program
-            code = (p.spec_lifted_code_for(fname) if self._spec
-                    else p.lifted_code_for(fname))
-            fn = self._lifted[fname] = (bind(code, self), code.nregs)
-        return fn
+    def _lifted_fn(self, fname: str):
+        """The bound function of one lifted pool-worker body, called with
+        its captures and the shard bounds."""
+        entry = self._lifted.get(fname)
+        if entry is None:
+            entry = self._lifted[fname] = bind(
+                self.program.lifted_code_for(fname), self)
+        return entry
 
-    def _run(self, ops: list, nregs: int, args: list):
+    def _run(self, ops: list, nregs: int, *args):
+        """Dispatch loop of the closure stream."""
         frame = [None] * nregs
         frame[1:1 + len(args)] = args
         pc = 0
@@ -209,11 +205,11 @@ class VM(RTRuntime):
             pc = ops[pc](frame)
         return frame[0]
 
-    def _run_counting(self, ops: list, nregs: int, args: list):
+    def _run_counting(self, ops: list, nregs: int, *args):
         """Dispatch loop variant that counts retired instructions into
         the (thread-local) stats — installed over ``_run`` at init when
         ``REPRO_COUNT_INSTRS`` is set, so the common path stays lean.
-        A counting VM never fuses, so one dispatch is one instruction."""
+        One dispatch is one instruction."""
         frame = [None] * nregs
         frame[1:1 + len(args)] = args
         pc = 0
@@ -302,7 +298,7 @@ class VM(RTRuntime):
     # -- pool regions --------------------------------------------------------
 
     def _pool_run(self, fname: str, total: int, captures: list) -> None:
-        ops, nregs = self._lifted_fn(fname)
+        entry = self._lifted_fn(fname)
         self.stats.parallel_regions += 1
         self.stats.region_sizes.append(total)
         per = -(-total // self.nthreads) if total > 0 else 0
@@ -325,14 +321,14 @@ class VM(RTRuntime):
             # pool's rt_pool_region_active path.
             self.stats.bail(
                 "shard", "nested inside an active parallel region")
-        elif self._dispatch_region(ops, nregs, fname, captures, shards):
+        elif self._dispatch_region(entry, fname, captures, shards):
             return
         # Sequential path: nthreads=1, ineligible body, nested region, or
         # pool refusal — same shard boundaries, run in order inline.
         for lo, hi in shards:
-            self._run(ops, nregs, captures + [lo, hi])
+            entry(*captures, lo, hi)
 
-    def _dispatch_region(self, ops, nregs: int, fname: str, captures: list,
+    def _dispatch_region(self, entry, fname: str, captures: list,
                          shards: list) -> bool:
         """Route one eligible region to a parallel backend; ``False``
         means a bail reason was recorded and the caller must run the
@@ -365,7 +361,7 @@ class VM(RTRuntime):
         if pool is None:  # pragma: no cover - guarded by caller checks
             self.stats.bail("shard", "single worker thread (pool disabled)")
             return False
-        if self._pool_run_parallel(ops, nregs, captures, shards, pool):
+        if self._pool_run_parallel(entry, captures, shards, pool):
             return True
         self.stats.bail("shard", "nested inside an active parallel region")
         return False
@@ -392,8 +388,8 @@ class VM(RTRuntime):
             return ", ".join(hz)
         return _shippable_captures(captures)
 
-    def _pool_run_parallel(self, ops, nregs: int, captures: list,
-                           shards: list, pool) -> bool:
+    def _pool_run_parallel(self, entry, captures: list, shards: list,
+                           pool) -> bool:
         """Dispatch one fork-join region; ``False`` defers to the caller's
         sequential loop (nested region or off-owner-thread)."""
         results: list = [None] * len(shards)
@@ -411,7 +407,7 @@ class VM(RTRuntime):
                 exc = None
                 try:
                     with np.errstate(all="ignore"):
-                        self._run(ops, nregs, captures + [lo, hi])
+                        entry(*captures, lo, hi)
                 except Exception as e:
                     exc = e
                 finally:
@@ -507,7 +503,7 @@ class VM(RTRuntime):
         shard 0): rebuild the captures as numpy views over the shared
         segment, run the lifted body, and return the shard's private
         ``(stats, stdout, exc)``."""
-        ops, nregs = self._lifted_fn(job["fname"])
+        entry = self._lifted_fn(job["fname"])
         shm = attach_shm(job["shm"])
         captures: list = []
         try:
@@ -526,7 +522,7 @@ class VM(RTRuntime):
             exc = None
             try:
                 with np.errstate(all="ignore"):
-                    self._run(ops, nregs, captures + [job["lo"], job["hi"]])
+                    entry(*captures, job["lo"], job["hi"])
             except Exception as e:
                 # Tracebacks pin frames whose locals reference the shm
                 # views (and do not pickle anyway): keep the bare error.
@@ -593,84 +589,26 @@ class VM(RTRuntime):
                 raise task.exc
 
 
-def bind(code: Code, vm: VM) -> list:
-    """Thread a :class:`Code` for one VM: one closure per instruction.
+def bind(code: Code, vm: VM):
+    """Bind one function's bytecode to ``vm``; returns the function to
+    call with the arguments.
 
-    When dispatch specialization is on, unconditional ``jmp`` chains are
-    *jump-threaded away*: every control transfer — explicit branch
-    targets and implicit fall-throughs alike — is resolved past any run
-    of ``jmp`` instructions to its final destination at bind time, so a
-    bare ``jmp`` almost never costs a dispatch (the instruction stays in
-    the list, merely unreachable).  The generic stream is bound verbatim
-    so ``REPRO_NO_QUICKEN=1`` stays a faithful S28 baseline."""
-    instrs = code.instrs
-    ops: list = []
-    end = len(instrs)
-    spec = vm._spec
-
-    if spec:
-        def thread(j: int) -> int:
-            seen = set()
-            while j < end and instrs[j][0] == "jmp" and j not in seen:
-                seen.add(j)  # a jmp-to-itself loop must keep dispatching
-                j = instrs[j][1]
-            return j
-    else:
-        def thread(j: int) -> int:
-            return j
-
-    for i, ins in enumerate(instrs):
-        op = ins[0]
-        nxt = thread(i + 1)
-        if spec:
-            if op in ("jmp", "jz", "jnz"):
-                ins = ins[:-1] + (thread(ins[-1]),)
-            elif op == "fastloop":
-                ins = (op, ins[1], thread(ins[2]))
-            elif op == "si":
-                parts = tuple(
-                    p[:-1] + (thread(p[-1]),)
-                    if p[0] in ("jmp", "jz", "jnz") else p
-                    for p in ins[1])
-                ins = (op, parts, ins[2])
-        if op == "si":
-            ops.append(superinstr.bind_super(ins, nxt, end))
-        elif spec and op == "intr":
-            ops.append(_bind_intr_spec(ins, nxt, vm))
-        else:
-            ops.append(_bind_one(ins, nxt, end, vm))
-    return ops
-
-
-def _bind_intr_spec(ins: tuple, nxt: int, vm: VM):
-    """Arity-specialized intrinsic invocation: the bound method is
-    resolved at bind time either way, but small fixed arities skip the
-    argument-list build and star-unpack of the generic form."""
-    _, d, method, regs = ins
-    meth = getattr(vm, method)
-    if len(regs) == 1:
-        r0, = regs
-
-        def f(frame, d=d, meth=meth, r0=r0, nxt=nxt):
-            frame[d] = meth(frame[r0])
-            return nxt
-    elif len(regs) == 2:
-        r0, r1 = regs
-
-        def f(frame, d=d, meth=meth, r0=r0, r1=r1, nxt=nxt):
-            frame[d] = meth(frame[r0], frame[r1])
-            return nxt
-    elif len(regs) == 3:
-        r0, r1, r2 = regs
-
-        def f(frame, d=d, meth=meth, r0=r0, r1=r1, r2=r2, nxt=nxt):
-            frame[d] = meth(frame[r0], frame[r1], frame[r2])
-            return nxt
-    else:
-        def f(frame, d=d, meth=meth, regs=regs, nxt=nxt):
-            frame[d] = meth(*[frame[r] for r in regs])
-            return nxt
-    return f
+    With specialization on, that is the function's compiled Python
+    (:func:`repro.cexec.pyfunc.compiled`).  Otherwise — and for a
+    function the compiler refuses, whose reason goes to the bail ledger
+    — it runs the closure stream: one closure per instruction, bound
+    verbatim, so ``REPRO_NO_QUICKEN=1`` stays a faithful S28 baseline."""
+    if vm._spec:
+        fn = pyfunc.compiled(code, vm)
+        if not isinstance(fn, str):
+            return fn
+        vm.stats.bail("compile", f"{code.name}: {fn}")
+    end = len(code.instrs)
+    ops = [_bind_one(ins, i + 1, end, vm)
+           for i, ins in enumerate(code.instrs)]
+    # A C-level partial: a C call costs the closure stream no Python
+    # frame beyond the dispatch loop's.
+    return functools.partial(vm._run, ops, code.nregs)
 
 
 def _bind_one(ins: tuple, nxt: int, end: int, vm: VM):

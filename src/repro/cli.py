@@ -147,10 +147,9 @@ def disasm_main(argv: list[str]) -> int:
     ap.add_argument("--ir", action="store_true",
                     help="show all IR stages, not just final bytecode")
     ap.add_argument("--spec", action="store_true",
-                    help="show the dispatch-specialized stream the VM "
-                    "executes (S29): fused superinstructions rendered as "
-                    "si [part] groups (* marks an elided intermediate "
-                    "write)")
+                    help="show what the VM runs (S29): each function's "
+                    "compiled Python, or why it runs on the closure "
+                    "stream")
     ap.add_argument("-O", "--opt-level", type=int, choices=(0, 1, 2),
                     default=2, help="optimization level (default 2)")
     args = ap.parse_args(argv)
@@ -190,9 +189,11 @@ def disasm_main(argv: list[str]) -> int:
             print("-- bytecode --")
             print(stages["bytecode"])
         elif args.spec:
-            code = (prog.spec_lifted_code_for(name) if lifted
-                    else prog.spec_code_for(name))
-            print(code.dis())
+            from repro.cexec import pyfunc
+
+            code = (prog.lifted_code_for(name) if lifted
+                    else prog.code_for(name))
+            print(pyfunc.listing(code))
         else:
             code = (prog.lifted_code_for(name) if lifted
                     else prog.code_for(name))
@@ -478,7 +479,8 @@ def _print_interp_stats(stats) -> None:
         print("region_sizes=" +
               ",".join(str(n) for n in stats.region_sizes))
     for label, bails in (("fastloop bail", stats.fastloop_bails),
-                         ("shard bail", stats.shard_bails)):
+                         ("shard bail", stats.shard_bails),
+                         ("compile bail", stats.compile_bails)):
         for reason in sorted(bails):
             print(f"{label}: {reason} x{bails[reason]}")
     if stats.instrs:
@@ -612,7 +614,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(run.stdout)
             sys.stderr.write(run.stderr)
             return run.returncode
-        from repro.cexec.interp import RuntimeTrap
+        from repro.cexec.interp import RAW_TRAPS, RuntimeTrap
 
         if args.engine == "tree" and nthreads > 1:
             print("reproc: tree engine is sequential; ignoring "
@@ -623,9 +625,13 @@ def main(argv: list[str] | None = None) -> int:
                                       parallel_backend=args.parallel_backend)
         try:
             rc = executor.run_main()
-        except RuntimeTrap as trap:
+        except (RuntimeTrap, *RAW_TRAPS) as trap:
+            # Out-of-range accesses and arithmetic faults surface from
+            # numpy/Python raw; like ``run_limited``, report them as the
+            # program's trap, after the output it printed.
             for line in executor.stdout:
                 print(line)
+            sys.stdout.flush()
             print(f"reproc: runtime error: {trap}", file=sys.stderr)
             return 2  # what the C runtime's exit(2) reports
         finally:

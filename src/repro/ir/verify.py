@@ -11,6 +11,11 @@ invariants every pass relies on:
   right successor count (``jmp`` 1, ``jz``/``jnz``/``fastloop`` 2,
   ``ret``/``ret_none`` 0), edges are symmetric (``succs``/``preds``
   agree), and targets exist;
+* **reducibility** — every edge that closes a cycle enters a block that
+  dominates its source, so each loop has one entry.  The compiled
+  functions (:mod:`repro.cexec.pyfunc`) structure every reducible CFG
+  into ``while``/``if`` and run anything else on the closure stream;
+  structured C lowers to reducible flow, and no pass may break that;
 * **single definition** — no SSA value is defined by two instructions;
 * **def dominates use** — straight-line uses see their def earlier in
   the same block or in a strict dominator; a phi's *k*-th operand is a
@@ -82,6 +87,8 @@ def verify_fn(fn: TACFunc, *, where: str = "") -> None:
                 _fail(where, fn, bid,
                       f"pred B{p} does not list this block as a successor")
 
+    check_reducible(fn, where=where)
+
     # -- SSA form ------------------------------------------------------------
     ssa = any(isinstance(i.dest, Value) or
               any(isinstance(a, Value) for a in i.args)
@@ -148,6 +155,21 @@ def verify_fn(fn: TACFunc, *, where: str = "") -> None:
         if b.term is not None:
             for a in b.term.args:
                 check_use(a, bid, None, f"terminator '{b.term.op}'")
+
+
+def check_reducible(fn: TACFunc, *, where: str = "") -> None:
+    """Raise :class:`VerifyError` unless every retreating edge of a
+    depth-first order (one into a block no later in reverse postorder)
+    enters a block that dominates its source."""
+    order = fn.rpo()
+    index = {b: i for i, b in enumerate(order)}
+    idom = fn.dominators()
+    for bid in order:
+        for s in fn.blocks[bid].succs:
+            if index[s] <= index[bid] and not fn.dominates(idom, s, bid):
+                _fail(where, fn, bid,
+                      f"irreducible: edge to B{s} enters a cycle through "
+                      f"a block that does not dominate it")
 
 
 def verify_all(fns, *, where: str = "") -> None:

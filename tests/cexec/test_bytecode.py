@@ -1161,8 +1161,8 @@ class TestLanePlans:
 
     def test_lane_index_out_of_range_bails_with_scalar_error(
             self, monkeypatch, plan_calls):
-        # the last rt_vloadf reads past the end: the scalar loop's short
-        # slice fails on the store, after the earlier stores
+        # the last rt_vloadf reads past the end: the plan bails, and the
+        # scalar loop traps on that load, after the earlier stores
         body = [gen_loop("j", i(0), var("N"), [N("exprStmt", call(
             "rt_vstoref", var("out"), bop("*", var("j"), i(4)),
             call("rt_vloadf", var("a"),
@@ -1172,7 +1172,8 @@ class TestLanePlans:
         def args():
             return [fmat(np.arange(24)), fmat(np.zeros(24)), 6]
         v = self.three_ways(monkeypatch, root, ctx, args)
-        assert v[1][0] == "ValueError"
+        assert v[1] == ("RuntimeTrap", "vector load lane index 25 "
+                        "outside a matrix of 24 elements")
         assert list(v[2][1][:4]) == [2, 3, 4, 5]
         assert plan_calls == [("j", False)]
         assert "load index out of range" in vm_bail_reasons(

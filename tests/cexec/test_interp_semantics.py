@@ -156,6 +156,47 @@ class TestRuntimeTraps:
         assert "range" in run.stderr
 
 
+class TestVectorLanes:
+    """The §V vector intrinsics trap when any lane falls outside the
+    matrix, instead of returning a short slice or wrapping a negative
+    index to the end."""
+
+    @staticmethod
+    def rt():
+        from repro.cexec.interp import RTRuntime
+
+        return RTRuntime()
+
+    @staticmethod
+    def mat(n=8):
+        return RTMat("f", (n,), np.arange(n, dtype=np.float32))
+
+    def test_in_range_lanes(self):
+        rt, m = self.rt(), self.mat()
+        assert list(rt.rt_vloadf(m, 4)) == [4, 5, 6, 7]
+        assert list(rt.rt_vgatherf(m, 7, -2)) == [7, 5, 3, 1]
+        rt.rt_vscatterf(m, 0, 2, np.full(4, -1, np.float32))
+        rt.rt_vstoref(m, 1, np.full(4, 9, np.float32))
+        assert list(m.data) == [-1, 9, 9, 9, 9, 5, -1, 7]
+
+    @pytest.mark.parametrize("call, lane", [
+        (lambda rt, m: rt.rt_vloadf(m, 5), 8),
+        (lambda rt, m: rt.rt_vloadf(m, -1), -1),
+        (lambda rt, m: rt.rt_vstoref(m, 6, np.zeros(4, np.float32)), 9),
+        (lambda rt, m: rt.rt_vgatherf(m, 2, -1), -1),
+        (lambda rt, m: rt.rt_vscatterf(m, 1, 3, np.zeros(4, np.float32)),
+         10),
+    ], ids=["load-past-end", "load-negative", "store-past-end",
+            "gather-negative", "scatter-past-end"])
+    def test_out_of_range_lane_traps(self, call, lane):
+        rt, m = self.rt(), self.mat()
+        before = m.data.copy()
+        with pytest.raises(RuntimeTrap, match=f"lane index {lane} outside "
+                           "a matrix of 8 elements"):
+            call(rt, m)
+        assert m.data.tobytes() == before.tobytes()
+
+
 class TestRTMat:
     def test_as_numpy_shape(self):
         m = RTMat("f", (2, 3), np.arange(6, dtype=np.float32))

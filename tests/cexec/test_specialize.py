@@ -1,9 +1,9 @@
-"""S29 dispatch specialization: superinstructions, jump threading,
-arity-specialized intrinsics, and guard elision.
+"""S29 dispatch specialization: compiled functions, the superinstruction
+fusion pass the compile stream still runs, and guard elision.
 
-The specialized stream must be *observationally invisible*: for every
-corpus program — and for targeted programs poking traps inside fused
-groups and deep recursion — the fused VM produces bit-identical outputs,
+Compiled functions must be *observationally invisible*: for every
+corpus program — and for targeted programs poking traps, early exits
+and deep recursion — the compiled VM produces bit-identical outputs,
 stdout, traps, and core InterpStats counters to both the generic VM
 (``REPRO_NO_QUICKEN=1``) and the tree-walking reference.  Counting mode
 must report the same dynamic instruction totals with specialization on
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import compile_source
-from repro.cexec import loopfast, superinstr
+from repro.cexec import loopfast, pyfunc, superinstr
 from repro.cexec.bytecode import Code
 from repro.cexec.interp import RuntimeTrap, run_program
 from repro.cexec.vm import VM, bind
@@ -165,6 +165,22 @@ def _mk_vm(src="int main() { return 0; }"):
               program=cr.bytecode())
 
 
+def _compiled(code, vm):
+    """The compiled function of ``code``; it must not fall back."""
+    fn = pyfunc.compiled(code, vm)
+    assert not isinstance(fn, str), fn
+    return fn
+
+
+def _closures(code, vm):
+    """``code`` bound as the closure stream (REPRO_NO_QUICKEN's form)."""
+    spec, vm._spec = vm._spec, False
+    try:
+        return bind(code, vm)
+    finally:
+        vm._spec = spec
+
+
 class TestFusion:
     """Unit coverage of the fusion rule on hand-built Code."""
 
@@ -227,8 +243,8 @@ class TestFusion:
         assert si[0] == "si" and si[2][0] is False
 
     def test_mid_group_conditional_early_exit(self):
-        """A jz in a non-final position compiles to an early return:
-        both branch outcomes must agree with the unfused stream."""
+        """A jz in a non-final position of a fused group: both branch
+        outcomes of the compiled function agree with the closures."""
         code = Code("f", ["a"], 4, [
             ("const", 2, 1),
             ("jz", 1, 5),
@@ -242,14 +258,13 @@ class TestFusion:
         assert len(fused.instrs[0][1]) == 5
         vm = _mk_vm()
         for arg in (0, 1, 7):
-            got = vm._run(bind(fused, vm), fused.nregs, [arg])
-            want = vm._run(bind(code, vm), code.nregs, [arg])
+            got = _compiled(code, vm)(arg)
+            want = _closures(code, vm)(arg)
             assert got == want, f"arg={arg}: {got} vs {want}"
 
     def test_trap_inside_fused_group(self):
-        """A trapping constituent mid-group raises exactly what the
-        unfused sequence raises (a partially-executed group is
-        indistinguishable from a partially-executed sequence)."""
+        """A trapping instruction mid-block raises exactly what the
+        closure stream raises, in the compiled function too."""
         src = """
         int main() {
             Matrix int <1> a = init(Matrix int <1>, 4);
@@ -269,15 +284,15 @@ class TestFusion:
         assert n == 1
         mat = vm.rt_alloci(1, 4, 0, 0, 0)
         errs = []
-        for c in (code, fused):
+        for fn in (_closures(code, vm), _compiled(code, vm)):
             with pytest.raises(IndexError) as ei:
-                vm._run(bind(c, vm), c.nregs, [mat])
+                fn(mat)
             errs.append(str(ei.value))
         assert errs[0] == errs[1]
 
     def test_group_capped_at_max_group(self):
-        """A long straight run splits into MAX_GROUP-sized groups and
-        still computes what the unfused stream computes."""
+        """A long straight run splits into MAX_GROUP-sized groups; the
+        compiled function computes what the closure stream computes."""
         cap = superinstr.MAX_GROUP
         code = Code("f", [], 2, [("const", 1, 1)]
                     + [("+", 1, 1, 1)] * (2 * cap) + [("ret", 1)])
@@ -285,8 +300,8 @@ class TestFusion:
         assert n == 3
         assert [len(i[1]) for i in fused.instrs] == [cap, cap, 2]
         vm = _mk_vm()
-        got = vm._run(bind(fused, vm), fused.nregs, [])
-        assert got == vm._run(bind(code, vm), code.nregs, []) == 2 ** (2 * cap)
+        got = _compiled(code, vm)()
+        assert got == _closures(code, vm)() == 2 ** (2 * cap)
 
 
 class TestJumpThreading:
@@ -299,10 +314,11 @@ class TestJumpThreading:
             ("const", 0, 7),
             ("ret", 0),
         ])
-        ops = bind(code, vm)
-        # the entry jmp lands directly on the const, skipping the chain
-        assert ops[0]([None, None]) == 3
-        assert vm._run(ops, code.nregs, []) == 7
+        # the entry lands directly on the const: the chain of jmp-only
+        # blocks leaves no loop or branch in the compiled function
+        src = pyfunc.generate(code)
+        assert "while" not in src and "if" not in src
+        assert _compiled(code, vm)() == 7
 
     def test_self_loop_not_followed(self):
         vm = _mk_vm()
@@ -312,6 +328,350 @@ class TestJumpThreading:
             ("ret", 1),
         ])
         bind(code, vm)  # merely binding must terminate
+
+
+# Two nested loops over i, j < n (slot 1).  The inner body leaves both
+# loops for B when i * j == t (slot 2): B also follows the outer loop's
+# normal exit A, so the exit is a flagged two-level break.
+TWO_LEVEL_EXIT = [
+    ("const", 9, 1),        # 0
+    ("const", 3, 0),        # 1  i = 0
+    ("<", 4, 3, 1),         # 2  outer header
+    ("jz", 4, 14),          # 3  -> A
+    ("const", 5, 0),        # 4  j = 0
+    ("<", 6, 5, 1),         # 5  inner header
+    ("jz", 6, 12),          # 6  -> outer step
+    ("*", 7, 3, 5),         # 7
+    ("==", 8, 7, 2),        # 8
+    ("jnz", 8, 16),         # 9  -> B, out of both loops
+    ("+", 5, 5, 9),         # 10 j++
+    ("jmp", 5),             # 11
+    ("+", 3, 3, 9),         # 12 i++
+    ("jmp", 2),             # 13
+    ("const", 7, -1),       # 14 A: falls into B
+    ("+", 7, 7, 3),         # 15
+    ("ret", 7),             # 16 B
+]
+
+# The same nest, but the inner body starts the next outer iteration
+# (a ``continue`` of the outer loop from inside the inner one) when
+# i * j == t, skipping the code after the inner loop; slot 10 counts
+# inner iterations and finished inner loops.
+TWO_LEVEL_CONTINUE = [
+    ("const", 9, 1),        # 0
+    ("const", 10, 0),       # 1  count = 0
+    ("const", 3, 0),        # 2  i = 0
+    ("<", 4, 3, 1),         # 3  outer header
+    ("jz", 4, 18),          # 4  -> return count
+    ("const", 5, 0),        # 5  j = 0
+    ("+", 3, 3, 9),         # 6  i++ (before the inner loop)
+    ("<", 6, 5, 1),         # 7  inner header
+    ("jz", 6, 15),          # 8  -> after the inner loop
+    ("*", 7, 3, 5),         # 9
+    ("==", 8, 7, 2),        # 10
+    ("jnz", 8, 3),          # 11 -> outer header, from the inner body
+    ("+", 10, 10, 9),       # 12 count++
+    ("+", 5, 5, 9),         # 13 j++
+    ("jmp", 7),             # 14
+    ("const", 11, 100),     # 15 after the inner loop
+    ("+", 10, 10, 11),      # 16
+    ("jmp", 3),             # 17
+    ("ret", 10),            # 18
+]
+
+
+class TestCompiledFunctions:
+    """Hand-built bytecode shapes the corpus does not produce: each must
+    compute what the closure stream computes."""
+
+    @pytest.mark.parametrize("instrs", [TWO_LEVEL_EXIT, TWO_LEVEL_CONTINUE],
+                             ids=["exit", "continue"])
+    def test_flagged_exit_leaves_two_loops(self, instrs):
+        vm = _mk_vm()
+        code = Code("f", ["n", "t"], 12, list(instrs))
+        assert "_x = " in pyfunc.generate(code)
+        fn, ref = _compiled(code, vm), _closures(code, vm)
+        for n in range(5):
+            for t in range(-1, 10):
+                assert fn(n, t) == ref(n, t), (n, t)
+
+    def test_irreducible_runs_on_closure_stream(self):
+        vm = _mk_vm()
+        code = Code("g", ["a"], 3, [
+            ("jz", 1, 3), ("const", 2, 1), ("jmp", 3), ("const", 2, 2),
+            ("jnz", 1, 1), ("ret", 2)])
+        assert pyfunc.compiled(code, vm) == "irreducible control flow"
+        fn = bind(code, vm)
+        assert fn(0) == _closures(code, vm)(0) == 2
+        assert vm.stats.compile_bails == {
+            "g: irreducible control flow": 1}
+
+    def test_literals_keep_their_bits(self):
+        """Constants enter the source through ``repr`` and a NaN through
+        its bits; ``1``, ``1.0`` and ``-0.0`` are different cache keys."""
+        vm = _mk_vm()
+        nan = np.frombuffer(np.uint64(0xFFF8_0000_0000_0001).tobytes(),
+                            dtype=np.float64)[0]
+        for v in (1, 1.0, -0.0, 0.0, float("inf"), float(nan),
+                  'q"u\'o"""\n\\', None):
+            code = Code("c", [], 2, [("const", 1, v), ("ret", 1)])
+            got = _compiled(code, vm)()
+            assert type(got) is type(v)
+            if isinstance(v, float):
+                assert np.float64(got).tobytes() == np.float64(v).tobytes()
+            else:
+                assert got == v
+
+    def test_rebinding_hits_the_cache(self, monkeypatch):
+        """A freshly compiled copy of a program binds without CPython
+        compiling anything."""
+        src = """
+        int f(int n) { int s = 0;
+            for (int i = 0; i < n; i = i + 1) s = s + i; return s; }
+        int main() { printInt(f(7)); return 0; }"""
+        _mk_vm(src).call_function("f", [3])
+        compiles = []
+        real = pyfunc._build
+        monkeypatch.setattr(pyfunc, "_build",
+                            lambda code: compiles.append(code) or real(code))
+        vm = _mk_vm(src)
+        assert vm.call_function("f", [7]) == 21
+        assert compiles == []
+
+    def test_stack_exhaustion_is_retried_not_cached(self, monkeypatch):
+        """Running out of stack while compiling depends on where the
+        function first binds, not on its code: that bind runs the
+        closures and says why, and the next bind compiles."""
+        code = Code("h", ["n"], 3, [("const", 2, 5), ("+", 2, 1, 2),
+                                    ("ret", 2)])
+        calls = []
+        real = pyfunc.generate
+
+        def first_overflows(c):
+            calls.append(c)
+            if len(calls) == 1:
+                raise RecursionError("maximum recursion depth exceeded")
+            return real(c)
+        monkeypatch.setattr(pyfunc, "generate", first_overflows)
+        monkeypatch.setattr(pyfunc, "_cache", type(pyfunc._cache)())
+        vm = _mk_vm()
+        assert bind(code, vm)(2) == 7
+        assert list(vm.stats.compile_bails) == [
+            "h: compiling ran out of stack or memory (RecursionError)"]
+        assert len(pyfunc._cache) == 0
+        assert _compiled(code, vm)(2) == 7
+        assert len(calls) == 2 and len(pyfunc._cache) == 1
+
+    def test_structuring_needs_no_stack_per_arm(self, monkeypatch):
+        """A 400-arm else-if chain (hand-built: the front end cannot
+        parse one that long) structures with 80 frames to spare, and
+        without raising the process-wide recursion limit."""
+        import sys
+
+        arms, instrs = 400, []
+        end = 5 * arms + 1
+        for k in range(arms):
+            nxt = len(instrs) + 5
+            instrs += [("const", 3, k), ("==", 4, 1, 3), ("jz", 4, nxt),
+                       ("const", 2, 7 * k + 3), ("jmp", end)]
+        instrs += [("const", 2, -1), ("ret", 2)]
+        code = Code("classify", ["x"], 5, instrs)
+        limit = sys.getrecursionlimit()
+        raised = []
+        monkeypatch.setattr(sys, "setrecursionlimit", raised.append)
+
+        def with_frames_left(n, f):
+            return f() if n <= 0 else with_frames_left(n - 1, f)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        src = with_frames_left(limit - depth - 80,
+                               lambda: pyfunc.generate(code))
+        assert raised == []
+        assert src.count("elif ") == arms - 1
+
+    @pytest.mark.parametrize("generic, frames", [("1", 3), ("0", 2)])
+    def test_python_frames_per_c_call(self, monkeypatch, generic, frames):
+        """A C call costs the closure stream three Python frames
+        (``call_function``, the dispatch loop, the ``call`` closure) and
+        a compiled function two, which bounds how deep a C program may
+        recurse."""
+        import sys
+
+        src = """
+        int down(int n) { if (n == 0) { printInt(n); return 0; }
+                          return down(n - 1) + 1; }
+        int main() { return 0; }"""
+        monkeypatch.setenv("REPRO_NO_QUICKEN", generic)
+        depths = []
+        real = VM._print_int
+
+        def print_int(self, v):
+            depth, frame = 0, sys._getframe()
+            while frame is not None:
+                depth, frame = depth + 1, frame.f_back
+            depths.append(depth)
+            return real(self, v)
+        monkeypatch.setattr(VM, "_print_int", print_int)
+        vm = _mk_vm(src)
+        assert vm.call_function("down", [0]) == 0
+        assert vm.call_function("down", [10]) == 10
+        assert depths[1] - depths[0] == 10 * frames
+
+    def test_cache_under_concurrent_binds(self, monkeypatch):
+        """Threads bind fresh copies of five programs while a two-entry
+        cache keeps evicting: every call returns its program's value,
+        and the cache stays bounded."""
+        import sys
+        import threading
+
+        from repro.cexec.bytecode import BytecodeProgram
+
+        monkeypatch.setattr(pyfunc, "CACHE_SIZE", 2)
+        monkeypatch.setattr(pyfunc, "_cache", type(pyfunc._cache)())
+        crs = [compile_source(
+            f"int f(int n) {{ int s = {k}; for (int i = 0; i < n; "
+            f"i = i + 1) s = s + i; return s; }}\n"
+            "int main() { return 0; }", ["matrix"]) for k in range(5)]
+        errors = []
+
+        def work(t):
+            try:
+                for r in range(24):
+                    k = (t + r) % 5
+                    cr = crs[k]
+                    vm = VM(cr.lowered, cr.ctx, nthreads=1,
+                            program=BytecodeProgram(cr.lowered, cr.ctx))
+                    got = vm.call_function("f", [10])
+                    if got != k + 45:
+                        errors.append((k, got))
+            except Exception as e:  # reported by the assert below
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(pyfunc._cache) <= 2
+
+
+def random_program(rng) -> str:
+    """A random structured C function — nested ``for``/``while``/``do``
+    loops, ``if``/``else`` on ``&&``/``||`` conditions, ``break``,
+    ``continue``, ``return`` and found-flag breaks at any depth — called
+    from a small `main`.  Loops are bounded, so every program ends."""
+    names = ["a", "b", "c", "d"]
+    count = [0]
+
+    def expr(d=0):
+        if d > 2 or rng.random() < 0.3:
+            return rng.choice(names + [str(rng.randint(0, 9))])
+        op = rng.choice(["+", "-", "*", "%"])
+        if op == "%":
+            return f"({expr(d + 1)} % {rng.randint(1, 5)})"
+        return f"({expr(d + 1)} {op} {expr(d + 1)})"
+
+    def cond(d=0):
+        r = rng.random()
+        if d < 2 and r < 0.25:
+            return f"({cond(d + 1)} && {cond(d + 1)})"
+        if d < 2 and r < 0.45:
+            return f"({cond(d + 1)} || {cond(d + 1)})"
+        cmp = rng.choice(["<", "<=", ">", ">=", "==", "!="])
+        return f"({expr(1)} {cmp} {expr(1)})"
+
+    def block(n, loop, depth):
+        out = []
+        for _ in range(n):
+            r = rng.random()
+            count[0] += 1
+            k = count[0]
+            if r < 0.3 or depth > 3:
+                out.append(f"{rng.choice(names)} = ({expr()}) % 1000;")
+            elif r < 0.45:
+                out.append(f"if {cond()} {{")
+                out += block(rng.randint(1, 3), loop, depth + 1)
+                if rng.random() < 0.5:
+                    out += ["} else {"] + block(rng.randint(1, 3), loop,
+                                                depth + 1)
+                out.append("}")
+            elif r < 0.6:
+                out.append(f"for (int i{k} = 0; i{k} < {rng.randint(0, 5)};"
+                           f" i{k} = i{k} + 1) {{")
+                out.append("steps = steps + 1;")
+                out += block(rng.randint(1, 3), True, depth + 1) + ["}"]
+            elif r < 0.7:
+                out.append(f"int w{k} = 0;")
+                out.append(f"while (w{k} < {rng.randint(1, 4)} && "
+                           f"steps < 5000) {{")
+                out.append(f"w{k} = w{k} + 1; steps = steps + 1;")
+                out += block(rng.randint(1, 3), True, depth + 1) + ["}"]
+            elif r < 0.75:
+                out.append(f"int w{k} = 0;")
+                out.append(f"do {{ w{k} = w{k} + 1; steps = steps + 1;")
+                out += block(rng.randint(1, 2), True, depth + 1)
+                out.append(f"}} while (w{k} < {rng.randint(1, 3)} && "
+                           f"steps < 5000);")
+            elif r < 0.8 and loop:
+                out.append(f"if {cond()} break;")
+            elif r < 0.85 and loop:
+                out.append(f"if {cond()} continue;")
+            elif r < 0.9:
+                out.append(f"if {cond()} return ({expr()}) % 1000 + steps;")
+            elif r < 0.95 and loop:
+                out.append(f"if {cond()} {{ found = true; break; }}")
+            else:
+                out.append(f"printInt({expr()});")
+        return out
+
+    body = "\n".join(block(rng.randint(2, 6), False, 0))
+    return f"""
+int f(int a, int b) {{
+    int c = 1; int d = 2; int steps = 0; bool found = false;
+    {body}
+    if (found) return 7000 + a + steps;
+    return a + b * 3 + c + d + steps;
+}}
+int main() {{
+    int s = 0;
+    for (int x = 0; x < 4; x = x + 1)
+        for (int y = 0; y < 3; y = y + 1) s = s + f(x, y);
+    printInt(s);
+    return 0;
+}}"""
+
+
+class TestRandomControlFlow:
+    """Random structured programs at -O0 and -O2 (16 of these 24
+    functions compile to flagged multi-loop exits): the compiled
+    functions print what the closure stream and the tree walker print,
+    and none falls back."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_compiled_matches_closures_and_tree(self, seed, monkeypatch):
+        import random
+
+        src = random_program(random.Random(seed))
+        for level in (0, 2):
+            opts = Optimizations(opt_level=level)
+            monkeypatch.setenv("REPRO_NO_QUICKEN", "1")
+            tree = run_one(src, ["matrix"], engine="tree", options=opts)
+            generic = run_one(src, ["matrix"], options=opts)
+            monkeypatch.delenv("REPRO_NO_QUICKEN")
+            _rc, _o, st, ex = run_program(src, ["matrix"], nthreads=1,
+                                          options=opts)
+            assert_identical(tree, generic, f"seed {seed} -O{level}")
+            assert generic[3] == list(ex.stdout), f"seed {seed} -O{level}"
+            assert st.compile_bails == {}
 
 
 class TestGuardElision:

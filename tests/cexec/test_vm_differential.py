@@ -127,7 +127,317 @@ def fig9_cube(seed, shape=(6, 8, 20)):
     return np.random.default_rng(seed).normal(0, 1, shape).astype(np.float32)
 
 
+# -- control-flow shapes for the S29 compiled functions ----------------------
+#
+# Jump threading gives a loop several exit targets (the found-flag break
+# skips the ``if (found)`` test; a two-level break leaves both loops),
+# a ``return`` sits inside a nested loop, and ``continue`` in a ``for``
+# jumps to the step block.  The compiled functions must structure all of
+# them; the tree walker is the oracle.
+
+CONTROL_FLOW = """
+int search(int n) {
+    bool found = false;
+    int i = 0;
+    for (i = 0; i < n; i = i + 1) {
+        if (i * i > 50) { found = true; break; }
+    }
+    if (found) return i;
+    return 0 - 1;
+}
+int firstOver(Matrix int <2> m, int t) {
+    int r = dimSize(m, 0);
+    int c = dimSize(m, 1);
+    bool found = false;
+    int at = 0 - 1;
+    for (int i = 0; i < r; i = i + 1) {
+        for (int j = 0; j < c; j = j + 1) {
+            if (m[i, j] > t) { found = true; at = i * c + j; break; }
+        }
+        if (found) break;
+    }
+    return at;
+}
+int findAt(Matrix int <2> m, int t) {
+    int r = dimSize(m, 0);
+    int c = dimSize(m, 1);
+    for (int i = 0; i < r; i = i + 1) {
+        for (int j = 0; j < c; j = j + 1) {
+            if (m[i, j] == t) return i * c + j;
+        }
+    }
+    return 0 - 1;
+}
+int mixed(int n) {
+    int acc = 0;
+    for (int i = 0; i < n; i = i + 1) {
+        if (i % 3 == 0) continue;
+        if (i > 40) break;
+        acc = acc + i;
+    }
+    int k = 0;
+    do {
+        acc = acc + k;
+        k = k + 2;
+    } while (k < 9);
+    int w = 0;
+    while (true) {
+        w = w + 1;
+        if (w * w > acc) break;
+    }
+    return acc * 100 + w;
+}
+int main() {
+    Matrix int <2> m = readMatrix("m.data");
+    printInt(search(5));
+    printInt(search(20));
+    printInt(firstOver(m, 40));
+    printInt(firstOver(m, 1000));
+    printInt(findAt(m, 17));
+    printInt(findAt(m, 0 - 5));
+    printInt(mixed(50));
+    printInt(mixed(2));
+    return 0;
+}
+"""
+
+
+def control_flow_input():
+    return {"m.data": np.random.default_rng(17).integers(
+        0, 60, (5, 7)).astype(np.int32)}
+
+
+def else_if_chain(arms: int = 120) -> str:
+    """An ``arms``-way else-if chain joining at one assignment: it must
+    compile as ``elif`` (nested ``else: if`` runs past CPython's 100
+    indentation levels)."""
+    lines = ["int classify(int x) {", "    int r = 0;"]
+    for k in range(arms):
+        kw = "if" if k == 0 else "else if"
+        lines.append(f"    {kw} (x == {k}) r = {7 * k + 3};")
+    lines += ["    else r = 0 - 1;", "    return r + x;", "}",
+              "int main() {", "    int s = 0;",
+              f"    for (int x = 0; x < {arms + 5}; x = x + 1)",
+              "        s = s + classify(x) * (x + 1);",
+              "    printInt(s);", "    return 0;", "}"]
+    return "\n".join(lines)
+
+
+def deep_nest(depth: int = 22) -> str:
+    """A ``depth``-deep loop nest: past CPython's 20 nested blocks, so
+    ``deep`` runs on the closure stream and the ledger says why."""
+    lines = ["int deep(int n) {", "    int s = 0;"]
+    for k in range(depth):
+        bound = "n" if k == 0 else "1"
+        lines.append("    " * (k + 1)
+                     + f"for (int a{k} = 0; a{k} < {bound}; a{k} = a{k} + 1)")
+    lines.append("    " * (depth + 1) + f"s = s + a0 + a{depth - 1} + 1;")
+    lines += ["    return s;", "}", "int main() {",
+              "    printInt(deep(3));", "    return 0;", "}"]
+    return "\n".join(lines)
+
+
+SPAWN_AFTER_SYNC = """
+int work(int n) {
+    int s = 0;
+    for (int i = 0; i < n; i = i + 1) s = s + i * i;
+    return s;
+}
+int main() {
+    int a = 0;
+    int b = 0;
+    spawn a = work(10);
+    spawn b = work(20);
+    sync;
+    printInt(a + b);
+    printInt(a - b);
+    return 0;
+}
+"""
+
+# A spawn target that held an int receives a float: each read of it as
+# an index still truncates (``m[int(2.5)]``), straight after the sync
+# and in a loop.  At -O0 the variable keeps one slot throughout.
+SPAWN_FLOAT_INDEX = """
+float half(int x) { return x * 0.5; }
+int main() {
+    Matrix float <1> m = readMatrix("m.data");
+    int a = 0;
+    spawn a = half(5);
+    sync;
+    printFloat(m[a]);
+    float s = 0.0;
+    for (int i = 0; i < 6; i = i + 1) {
+        a = i + 1;
+        s = s + m[a];
+        spawn a = half(i);
+        sync;
+        s = s + m[a];
+    }
+    printFloat(s);
+    return 0;
+}
+"""
+
+
+def spawn_float_index_input():
+    return {"m.data": np.arange(8, dtype=np.float32) * 1.5}
+
+
+# An int accumulator: the fold plan bails at run time and the scalar
+# loop behind it runs.
+BAILING_PLAN = """
+int main() {
+    Matrix int <1> a = readMatrix("a.data");
+    int s = 0;
+    for (int i = 0; i < 32; i = i + 1) { s = s + a[i]; }
+    printInt(s);
+    return 0;
+}
+"""
+
+# The divisor is zero at element 9: the stores before it happen (and are
+# printed), then the loop traps.
+TRAP_MID_LOOP = """
+int main() {
+    Matrix int <1> a = readMatrix("a.data");
+    Matrix float <1> b = init(Matrix float <1>, 24);
+    for (int i = 0; i < 24; i = i + 1) {
+        b[i] = 1.0 * (100 / a[i]);
+        printFloat(b[i]);
+    }
+    writeMatrix("b.data", b);
+    return 0;
+}
+"""
+
+# C identifiers that are Python keywords and builtins, and a string
+# literal holding quotes, a newline and a triple quote.
+PY_NAMES_FILE = 'q"u\'o"""te\nd.data'
+PY_NAMES = """
+int lambda(int None, int exec) {
+    int def = None * 3 + exec;
+    int print = def - 1;
+    return print;
+}
+int main() {
+    Matrix int <1> out = init(Matrix int <1>, 3);
+    out[0] = lambda(4, 5);
+    out[1] = lambda(0 - 2, 1);
+    writeMatrix("q\\"u'o\\"\\"\\"te\\nd.data", out);
+    printInt(out[0] + out[1]);
+    return 0;
+}
+"""
+
+
+def run_full(engine, src, exts, inputs, outputs, nthreads, opt_level=None):
+    """One run's observable record: rc, trap text, stats, stdout (kept
+    on a trap), outputs, and the bail ledger."""
+    import tempfile
+    from pathlib import Path
+
+    from repro.api import compile_source
+    from repro.cexec.rmat import read_rmat, write_rmat
+    from repro.cminus.env import Optimizations
+
+    options = None if opt_level is None else Optimizations(
+        opt_level=opt_level)
+    cr = compile_source(src, list(exts), options=options, nthreads=nthreads)
+    assert cr.ok, cr.errors
+    with tempfile.TemporaryDirectory(prefix="repro-cf-") as wd:
+        for name, arr in (inputs or {}).items():
+            write_rmat(Path(wd) / name, arr)
+        ex = cr.make_engine(engine=engine, workdir=wd, nthreads=nthreads)
+        rc, trap = None, None
+        try:
+            rc = ex.run_main()
+        except RuntimeTrap as t:
+            trap = str(t)
+        finally:
+            ex.close()
+        st = ex.stats
+        outs = {n: read_rmat(Path(wd) / n) for n in outputs or ()
+                if trap is None}
+    stats = (st.allocs, st.frees, st.copies, st.parallel_regions,
+             st.tasks_spawned, tuple(st.region_sizes))
+    ledger = (st.fastloop_bails, st.shard_bails)
+    return (rc, trap, stats, list(ex.stdout), outs), ledger, st
+
+
+def run_engines(src, exts, inputs=None, outputs=None, nthreads=None,
+                opt_level=None):
+    """The tree walker, the closure stream and the compiled functions on
+    one program: rc, trap, stats, stdout (also up to a trap) and outputs
+    must match the tree walker's, and the two VM streams' bail ledgers
+    must match each other (the tree walker keeps none).  Returns the
+    tree walker's record and the compiled run's stats."""
+    import os
+
+    from repro.cexec.parallel import resolve_nthreads
+
+    nthreads = resolve_nthreads(nthreads, default=2)
+    tree = run_full("tree", src, exts, inputs, outputs, nthreads,
+                    opt_level)[0]
+    saved = {k: os.environ.pop(k, None)
+             for k in ("REPRO_NO_QUICKEN", "REPRO_COUNT_INSTRS")}
+    runs = {}
+    try:
+        for label, generic in (("generic", "1"), ("compiled", "0")):
+            os.environ["REPRO_NO_QUICKEN"] = generic
+            runs[label] = run_full("vm", src, exts, inputs, outputs,
+                                   nthreads, opt_level)
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+    for label, (got, _ledger, _st) in runs.items():
+        assert_identical(tree, got, label)
+    assert runs["generic"][1] == runs["compiled"][1], "bail ledgers differ"
+    return tree, runs["compiled"][2]
+
+
 class TestExampleCorpus:
+    def test_control_flow_shapes(self):
+        t, st = run_engines(CONTROL_FLOW, ("matrix",), control_flow_input())
+        assert t[1] is None and len(t[3]) == 8
+        assert st.compile_bails == {}
+
+    def test_else_if_chain_compiles_as_elif(self):
+        t, st = run_engines(else_if_chain(), ("matrix",))
+        assert t[1] is None and st.compile_bails == {}
+
+    def test_deep_nest_falls_back_with_ledger_entry(self):
+        t, st = run_engines(deep_nest(), ("matrix",))
+        assert t[3] == ["6"]
+        assert list(st.compile_bails) == [
+            "deep: CPython refused it: too many statically nested blocks"]
+
+    def test_bailing_plan_runs_scalar_loop(self):
+        a = np.arange(32, dtype=np.int32) * 3 - 40
+        t, _st = run_engines(BAILING_PLAN, ("matrix",), {"a.data": a})
+        assert t[3] == [str(int(a.sum()))]
+
+    def test_trap_mid_loop_after_partial_writes(self):
+        a = np.arange(1, 25, dtype=np.int32)
+        a[9] = 0
+        t, _st = run_engines(TRAP_MID_LOOP, ("matrix",), {"a.data": a},
+                             ["b.data"])
+        assert t[1] == "integer division by zero" and len(t[3]) == 9
+
+    def test_python_keywords_and_quoted_strings(self):
+        t, _st = run_engines(PY_NAMES, ("matrix",), None, [PY_NAMES_FILE])
+        assert t[3] == ["10"]
+        assert list(t[4][PY_NAMES_FILE]) == [16, -6, 0]
+
+    @pytest.mark.parametrize("opt_level", [0, 2])
+    def test_spawn_float_target_as_index(self, opt_level):
+        t, _st = run_engines(SPAWN_FLOAT_INDEX, ("matrix", "cilk"),
+                             spawn_float_index_input(), opt_level=opt_level)
+        assert t[1] is None and t[3] == ["3", "40.5"]
+
     def test_fig1_temporal_mean(self):
         cube = np.random.default_rng(0).normal(
             0, 0.5, (6, 8, 12)).astype(np.float32)
@@ -300,6 +610,21 @@ class TestParallelIdentity:
                                 ["q.data"])
         assert seq[1] is not None and "zero" in seq[1]
         assert_identical(seq, par, f"shard-trap@{zero_at}")
+
+    def test_control_flow_shapes_identical_at_4_workers(self):
+        seq, par = self.vm_pair(CONTROL_FLOW, ("matrix",),
+                                control_flow_input())
+        assert_identical(seq, par, "control-flow-par")
+        run_engines(CONTROL_FLOW, ("matrix",), control_flow_input(),
+                    nthreads=4)
+
+    def test_spawn_target_read_after_sync(self):
+        seq, par = self.vm_pair(SPAWN_AFTER_SYNC, ("cilk",))
+        assert_identical(seq, par, "spawn-after-sync")
+        assert seq[3] == ["2755", "-2185"]
+        run_engines(SPAWN_AFTER_SYNC, ("cilk",), nthreads=4)
+        run_engines(SPAWN_FLOAT_INDEX, ("matrix", "cilk"),
+                    spawn_float_index_input(), nthreads=4, opt_level=0)
 
     def test_cilk_fib_identical_and_counter_parity(self):
         # Satellite: elided (n=1) and pooled (n=4) Cilk runs must report

@@ -44,9 +44,10 @@ class TestGoldenDump:
             assert key in counts, f"golden input no longer triggers {key}"
 
     def test_disasm_spec_matches_golden(self, capsys):
-        """Same drift gate for the S29 dispatch-specialized stream:
-        which groups fuse (and which intermediate writes they elide)
-        is pinned by the shipped superinstruction table.  Regenerate:
+        """Same drift gate for what the VM runs (S29): each function's
+        compiled Python — its structured loops and branches, the
+        comparisons folded into tests and the dropped ``int()`` wraps.
+        Regenerate:
 
             PYTHONPATH=src python -m repro.cli disasm \\
                 tests/ir/golden_input.xc --spec -O2 \\
@@ -63,11 +64,11 @@ class TestGoldenDump:
                 "golden_disasm_spec.txt", "reproc disasm --spec",
                 lineterm=""))
             raise AssertionError(
-                "specialized-stream disasm drifted from the golden "
+                "compiled-function disasm drifted from the golden "
                 "dump; if intentional, regenerate it (see docstring)."
                 f"\n{diff}")
-        assert " si " in got.replace("  ", " "), \
-            "golden input no longer fuses any superinstruction"
+        assert "while " in got and "def _fn(" in got, \
+            "golden input no longer compiles to a structured loop"
 
     def test_disasm_O0_shows_raw_bytecode(self, capsys):
         rc = main(["disasm", str(HERE / "golden_input.xc"), "-O0"])

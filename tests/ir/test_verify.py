@@ -148,3 +148,71 @@ class TestViolations:
         fn.blocks[b.succs[0]].preds.remove(b.bid)
         with pytest.raises(VerifyError, match="missing from its preds"):
             verify_fn(fn)
+
+
+# -- reducibility -------------------------------------------------------------
+
+# Jumps into the middle of a cycle from two places: no block of the
+# cycle dominates the other, so it has two entries.
+IRREDUCIBLE = [
+    ("jz", 1, 3),
+    ("const", 2, 1),
+    ("jmp", 3),
+    ("const", 2, 2),
+    ("jnz", 1, 1),
+    ("ret", 2),
+]
+
+
+def _reducible_cases():
+    from repro.programs import corpus_cases
+    from tests.cexec.test_vm_differential import (
+        BAILING_PLAN, CONTROL_FLOW, PY_NAMES, SPAWN_AFTER_SYNC,
+        TRAP_MID_LOOP, deep_nest, else_if_chain)
+
+    cases = [(name, src, exts) for name, src, exts, _i, _o
+             in corpus_cases()]
+    cases += [("control-flow", CONTROL_FLOW, ["matrix"]),
+              ("else-if-120", else_if_chain(), ["matrix"]),
+              ("deep-nest-22", deep_nest(), ["matrix"]),
+              ("spawn-after-sync", SPAWN_AFTER_SYNC, ["cilk"]),
+              ("bailing-plan", BAILING_PLAN, ["matrix"]),
+              ("trap-mid-loop", TRAP_MID_LOOP, ["matrix"]),
+              ("python-names", PY_NAMES, ["matrix"])]
+    return cases
+
+
+class TestReducible:
+    """Every corpus program and every control-flow shape of the compiled-
+    function tests stays reducible at O0, O1 and O2: as the bytecode
+    compiler emits it, between the optimizer's passes (this suite runs
+    with ``REPRO_IR_STRICT``, so the verifier checks after each pass),
+    and as the final bytecode the VM binds."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("case", _reducible_cases(),
+                             ids=lambda c: c[0])
+    def test_reducible_at_every_level(self, case, level):
+        from repro.api import Optimizations, compile_source
+        from repro.cexec.bytecode import compile_function
+        from repro.ir.verify import check_reducible
+
+        name, src, exts = case
+        cr = compile_source(src, exts,
+                            options=Optimizations(opt_level=level))
+        assert cr.ok, cr.errors
+        prog = cr.bytecode()
+        for table, final in ((prog.functions, prog.code_for),
+                             (prog.lifted_trees, prog.lifted_code_for)):
+            for fname, (params, body) in table.items():
+                for code in (compile_function(fname, params, body),
+                             final(fname)):
+                    check_reducible(decode(code), where=f"{name} -O{level}")
+
+    def test_two_entry_cycle_fails(self):
+        from repro.cexec.bytecode import Code
+        from repro.ir.verify import check_reducible
+
+        fn = decode(Code("g", ["a"], 3, list(IRREDUCIBLE)))
+        with pytest.raises(VerifyError, match="irreducible"):
+            check_reducible(fn)

@@ -107,6 +107,51 @@ def test_run_trap_exits_2(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = """
+int main() {
+    Matrix float <1> v = init(Matrix float <1>, 3);
+    printInt(7);
+    float x = v[5];
+    printFloat(x);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["vm", "tree"])
+def test_run_out_of_range_element_is_a_runtime_error(tmp_path, capsys,
+                                                     engine):
+    """An out-of-range element read is the program's trap: the output
+    printed before it, then one ``runtime error`` line and exit 2."""
+    (tmp_path / "oob.xc").write_text(OUT_OF_RANGE)
+    rc = main([str(tmp_path / "oob.xc"), "-x", "matrix", "--run",
+               "--engine", engine, "--threads", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.splitlines()[-1] == "7"
+    assert err == ("reproc: runtime error: index 5 is out of bounds for "
+                   "axis 0 with size 3\n")
+
+
+def test_run_integer_overflow_is_a_runtime_error(tmp_path, capsys):
+    """An int too large for an int matrix element overflows in numpy;
+    the CLI reports it like any trap."""
+    (tmp_path / "ovf.xc").write_text("""
+        int main() {
+            Matrix int <1> v = init(Matrix int <1>, 2);
+            int big = 65536 * 65536;
+            printInt(1);
+            v[0] = big;
+            return 0;
+        }
+    """)
+    rc = main([str(tmp_path / "ovf.xc"), "-x", "matrix", "--run"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out.splitlines()[-1] == "1"
+    assert err.startswith("reproc: runtime error: Python integer ")
+
+
 def test_unknown_extension(workdir, capsys):
     with pytest.raises(ValueError, match="unknown extension"):
         main([str(workdir / "prog.xc"), "-x", "nonsense"])

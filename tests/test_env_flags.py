@@ -49,14 +49,23 @@ def test_count_instrs(monkeypatch, value, on):
 
 @pytest.mark.parametrize("value, on", OFF_ON)
 def test_no_quicken(monkeypatch, value, on):
-    """On, the VM binds the generic stream: a ``jmp`` chain is not
-    threaded, so the entry ``jmp`` lands on the next ``jmp``."""
+    """On, the VM binds the generic closure stream, which its dispatch
+    loop runs; off, a compiled function that needs no dispatch loop."""
     monkeypatch.delenv("REPRO_COUNT_INSTRS", raising=False)
     monkeypatch.setenv("REPRO_NO_QUICKEN", value)
+    dispatched = []
+    real = VM._run
+
+    def run(self, ops, nregs, *args):
+        dispatched.append(len(ops))
+        return real(self, ops, nregs, *args)
+
+    monkeypatch.setattr(VM, "_run", run)
     cr = compile_source(LOOP, ["matrix"])
     vm = VM(cr.lowered, cr.ctx, nthreads=1, program=cr.bytecode())
     code = Code("f", [], 1, [("jmp", 1), ("jmp", 2), ("ret_none",)])
-    assert bind(code, vm)[0]([None]) == (1 if on else 2)
+    assert bind(code, vm)() is None
+    assert dispatched == ([3] if on else [])
 
 
 @pytest.mark.parametrize("value, on", OFF_ON)
